@@ -10,9 +10,9 @@
 //! accumulates the weighted value sum in a single `d_v`-wide register file.
 //! Peak workspace is `O(n + d_v)` per active query row
 //! ([`streaming_workspace_bytes`]) against the naive kernel's `O(n_q · n)`
-//! score matrix ([`naive_workspace_bytes`]) — the reason the serving stack's
-//! graceful-degradation path uses this kernel as its memory-light exact
-//! fallback (`elsa-runtime::failover`, `elsa-serve`).
+//! score matrix ([`naive_workspace_bytes`]) — the reason it is the
+//! memory-light functional form of the exact base pass
+//! (`elsa-sim`'s `ElsaAccelerator::run_base_streaming`).
 //!
 //! # Numerical contract: 0 ulp, proven by schedule equality
 //!
@@ -135,8 +135,8 @@ pub fn flash_attention(inputs: &AttentionInputs, scale: f32, config: FlashConfig
     out
 }
 
-/// Streaming kernel with the default tile size — the form the serving
-/// stack's memory-light exact fallback calls.
+/// Streaming kernel with the default tile size — the form
+/// `ElsaAccelerator::run_base_streaming` calls.
 #[must_use]
 pub fn flash_attention_default(inputs: &AttentionInputs, scale: f32) -> Matrix {
     flash_attention(inputs, scale, FlashConfig::default())
@@ -322,7 +322,7 @@ mod tests {
         assert_eq!(streaming_workspace_bytes(512, 64, 4), 4 * (512 * 4 + 64 * 8));
         // Naive: the full score matrix.
         assert_eq!(naive_workspace_bytes(512, 512), 512 * 512 * 4);
-        // The asymptotic gap the serving fallback relies on.
+        // The asymptotic gap the streaming base pass relies on.
         let n = 2048;
         assert!(streaming_workspace_bytes(n, 64, 8) * 64 < naive_workspace_bytes(n, n));
     }

@@ -1,32 +1,23 @@
-//! **E-FAULT** — fault-injection overhead and graceful-degradation sweep,
-//! emitted as JSON for the committed `BENCH_fault.json` at the repo root.
+//! **E-FAULT** — graceful-degradation sweep under injected faults, emitted
+//! as JSON for the committed `BENCH_fault.json` at the repo root.
 //!
 //! Capture: `cargo run --release -p elsa-bench --bin bench_fault > BENCH_fault.json`
 //!
-//! Two measurements:
-//!
-//! 1. **Zero-fault overhead** — wall-clock of
-//!    `FaultTolerantServer::serve_report` with `FaultPlan::none()` against
-//!    the plain `InferenceServer::serve` on the same batch (both produce
-//!    the accounting report without materializing outputs, so the delta is
-//!    the chaos layer itself). The layer must cost plan lookups, not a
-//!    different code path: the acceptance bar is < 2% overhead on the min-of-samples timings (the
-//!    reports themselves are bit-identical, enforced by
-//!    `tests/fault_tolerance.rs`).
-//! 2. **Fault-rate sweep** — one fault class at a time at increasing
-//!    rates, reporting the simulated-clock p99 completion latency, the
-//!    degraded fraction, the failed fraction, and mean retries. Latencies
-//!    come from the simulator's deterministic virtual clock, so the sweep
-//!    is reproducible anywhere; only the overhead timings vary with the
-//!    host.
-
-use std::time::Instant;
+//! A 48-request batch (a recorded trace, all arriving at t = 0) is served
+//! by `OnlineServer` under `ServeConfig::immediate()` — first-come
+//! first-served onto the unit that frees first — while one fault class at
+//! a time is injected at increasing rates. Each row reports the p99
+//! completion latency, the degraded fraction, the failed fraction, and
+//! mean retries. Latencies come from the simulator's deterministic virtual
+//! clock and nothing reads a wall clock, so the file reproduces
+//! byte-for-byte on any host (`scripts/verify.sh` diffs it).
 
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_fault::{FaultPlan, FaultRates};
 use elsa_linalg::SeededRng;
-use elsa_runtime::{FailoverPolicy, FaultTolerantServer, InferenceServer};
+use elsa_serve::{ArrivalTrace, OnlineServer, ServeConfig};
 use elsa_sim::AcceleratorConfig;
+use elsa_workloads::trace::WorkloadTrace;
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
 const BATCH: usize = 48;
@@ -52,58 +43,9 @@ fn main() {
         let train = workload.generate_batch(1, &mut rng);
         ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(21)), &train, 1.0)
     };
-    let batch = {
-        let mut rng = SeededRng::new(22);
-        workload.generate_batch(BATCH, &mut rng)
-    };
+    let recorded = WorkloadTrace::record(&workload, BATCH, &mut SeededRng::new(22));
+    let batch = ArrivalTrace::simultaneous(&recorded);
 
-    // 1. Zero-fault wrapper overhead.
-    let plain = InferenceServer::new(config(), operator.clone());
-    let wrapped = FaultTolerantServer::new(
-        config(),
-        operator.clone(),
-        FaultPlan::none(),
-        FailoverPolicy::default(),
-    );
-    // The overhead being measured is sub-percent, so raw timings drown in
-    // host noise. Take *paired* samples — each iteration times both servers
-    // back to back, alternating which goes first so neither side
-    // systematically runs on a warmer cache — and report the ratio of the
-    // per-side *minima*: timing noise on a shared host is strictly
-    // additive, so the minimum over many samples converges on the true
-    // cost while a median ratio still wobbles by several percent. Pinned
-    // to one worker: the thread pool's scheduling jitter would otherwise
-    // swamp the signal, and the chaos layer's cost (plan lookups in the
-    // serial dispatch fold) is worker-independent.
-    let pairs = 40;
-    let (mut plain_s, mut wrapped_s) = (f64::INFINITY, f64::INFINITY);
-    elsa_parallel::with_threads(1, || {
-        let time_plain = |plain_s: &mut f64| {
-            let t = Instant::now();
-            std::hint::black_box(plain.serve(&batch));
-            *plain_s = plain_s.min(t.elapsed().as_secs_f64());
-        };
-        let time_wrapped = |wrapped_s: &mut f64| {
-            let t = Instant::now();
-            std::hint::black_box(wrapped.serve_report(&batch).expect("zero-fault plan"));
-            *wrapped_s = wrapped_s.min(t.elapsed().as_secs_f64());
-        };
-        let mut warmup = f64::INFINITY;
-        time_plain(&mut warmup);
-        time_wrapped(&mut warmup);
-        for i in 0..pairs {
-            if i % 2 == 0 {
-                time_plain(&mut plain_s);
-                time_wrapped(&mut wrapped_s);
-            } else {
-                time_wrapped(&mut wrapped_s);
-                time_plain(&mut plain_s);
-            }
-        }
-    });
-    let overhead_pct = (wrapped_s / plain_s - 1.0) * 100.0;
-
-    // 2. Fault-rate sweep, one class at a time.
     let sweeps: [(&'static str, fn(f64) -> FaultRates); 3] = [
         ("transient", |r| FaultRates { transient: r, ..FaultRates::none() }),
         ("straggler", |r| FaultRates {
@@ -116,14 +58,14 @@ fn main() {
     let mut rows: Vec<SweepRow> = Vec::new();
     for (fault, rates) in sweeps {
         for rate in [0.0, 0.05, 0.1, 0.2, 0.4] {
-            let server = FaultTolerantServer::new(
+            let server = OnlineServer::new(
                 config(),
                 operator.clone(),
                 FaultPlan::seeded(PLAN_SEED, rates(rate)),
-                FailoverPolicy::default(),
+                ServeConfig::immediate(),
             );
-            let report = server.serve_report(&batch).expect("no unit death in the sweep");
-            let n = report.records.len() as f64;
+            let report = server.serve(&batch).expect("no unit death in the sweep");
+            let n = report.offered_count() as f64;
             rows.push(SweepRow {
                 fault,
                 rate,
@@ -144,13 +86,8 @@ fn main() {
     println!("  \"num_accelerators\": 4,");
     println!("  \"plan_seed\": {PLAN_SEED},");
     println!(
-        "  \"note\": \"zero_fault_overhead_pct is host wall-clock: < 2 on a quiet host (the chaos layer is plan lookups, not a second code path; shared containers add a few percent of one-sided noise); sweep latencies are the simulator's deterministic virtual clock and reproduce exactly on any host.\","
+        "  \"note\": \"a recorded batch arriving at t = 0, served by OnlineServer under ServeConfig::immediate(); latencies are the simulator's deterministic virtual clock, so this file reproduces byte-for-byte on any host.\","
     );
-    println!("  \"zero_fault\": {{");
-    println!("    \"plain_serve_min_s\": {plain_s:.6},");
-    println!("    \"wrapped_serve_min_s\": {wrapped_s:.6},");
-    println!("    \"overhead_pct\": {overhead_pct:.3}");
-    println!("  }},");
     println!("  \"sweep\": [");
     let last = rows.len() - 1;
     for (i, r) in rows.iter().enumerate() {

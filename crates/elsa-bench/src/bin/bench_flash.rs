@@ -21,7 +21,7 @@
 //!   roofline bottleneck;
 //! * ELSA's approximate pipeline: simulated cycles and selected-pair
 //!   fraction from the learned operator, plus ELSA-base (exact) cycles via
-//!   the same streaming-fallback path the server degrades through.
+//!   `run_base_streaming`, the cycles a degraded request is charged.
 
 use elsa_attention::flops::{naive_attention_bytes, FlashAttentionOps};
 use elsa_attention::{flash, AttentionInputs};

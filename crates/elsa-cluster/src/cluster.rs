@@ -31,12 +31,12 @@ use std::collections::BTreeMap;
 use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker, NodeFaultPlan};
 use elsa_linalg::ops;
-use elsa_runtime::{InferenceServer, RuntimeError};
+use elsa_runtime::RuntimeError;
 use elsa_serve::clock::ns_to_secs;
 use elsa_serve::{
-    prepare_turns, session_admissions, CacheConfig, NodeEngine, NodeParts, OnlineRecord, Outcome,
-    PreparedRequest, QueuedRequest, ServeConfig, SessionBook, SessionRegistry, SessionTrace,
-    SessionTurnRequest,
+    prepare_turns, session_admissions, unit_health, CacheConfig, NodeEngine, NodeParts,
+    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, ServeConfig, SessionBook,
+    SessionRegistry, SessionTrace, SessionTurnRequest,
 };
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
@@ -115,7 +115,9 @@ impl ClusterConfig {
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    operator: ElsaAttention,
+    /// Built once at construction (which is what validates the operator
+    /// against the hardware) and shared by every node of every replay.
+    accel: ElsaAccelerator,
 }
 
 impl Cluster {
@@ -134,19 +136,21 @@ impl Cluster {
         }
     }
 
-    /// Builds the fleet, reporting an operator/hardware misfit as a typed
-    /// error.
+    /// Builds the fleet, reporting a malformed serving configuration or an
+    /// operator/hardware misfit as a typed error.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Misfit`] when the hardware configuration is
-    /// invalid or the operator's dimensions do not match it.
+    /// Returns [`RuntimeError::InvalidBatchPolicy`] when the per-node batch
+    /// policy is malformed, and [`RuntimeError::Misfit`] when the hardware
+    /// configuration is invalid or the operator's dimensions do not match
+    /// it.
     ///
     /// # Panics
     ///
-    /// Panics on a zero-node fleet, a malformed batch policy, a malformed
-    /// autoscale configuration, or `initial_active` exceeding the
-    /// provisioned node count — construction bugs, not inputs.
+    /// Panics on a zero-node fleet, a malformed autoscale configuration, or
+    /// `initial_active` exceeding the provisioned node count — construction
+    /// bugs, not inputs.
     pub fn try_new(config: ClusterConfig, operator: ElsaAttention) -> Result<Self, RuntimeError> {
         assert!(config.nodes > 0, "a fleet needs at least one node");
         if let Some(initial) = config.initial_active {
@@ -156,12 +160,12 @@ impl Cluster {
                 config.nodes
             );
         }
-        config.serve.batch.validate();
+        config.serve.batch.try_validate()?;
         if let Some(a) = &config.autoscale {
             a.validate();
         }
-        let _ = InferenceServer::try_new(config.accel, operator.clone())?;
-        Ok(Self { config, operator })
+        let accel = ElsaAccelerator::try_new(config.accel, operator)?;
+        Ok(Self { config, accel })
     }
 
     /// The fleet configuration.
@@ -192,9 +196,8 @@ impl Cluster {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "session trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.config.accel, self.operator.clone())?;
         // The one parallel stage: shared, order-preserving, node-agnostic.
-        let prepared = prepare_turns(&accel, &self.config.accel, &trace.requests)?;
+        let prepared = prepare_turns(&self.accel, &self.config.accel, &trace.requests)?;
         let admissions = session_admissions(&self.config.serve.batch, &trace.requests);
 
         let n = self.config.nodes;
@@ -207,14 +210,12 @@ impl Cluster {
             // *independent* stream per node — node 3's transients never
             // correlate with node 7's.
             let plan = self.config.unit_faults.fork(node as u64);
-            let units = self.config.accel.num_accelerators;
-            let mut unit_health = HealthTracker::new(units, self.config.serve.quarantine_after);
-            for unit in 0..units {
-                if plan.unit_dead(unit) {
-                    unit_health.mark_dead(unit);
-                }
-            }
-            if unit_health.num_available() == 0 {
+            let health = unit_health(
+                &plan,
+                self.config.accel.num_accelerators,
+                self.config.serve.quarantine_after,
+            );
+            if health.num_available() == 0 {
                 // Every accelerator dead at provisioning: the node is dead
                 // on arrival (a fleet tolerates it; a lone server errors).
                 node_health.mark_dead(node);
@@ -223,16 +224,16 @@ impl Cluster {
             let scale = self.config.node_faults.slow_factor(node);
             slow.push(scale);
             let mut engine = NodeEngine::new(
-                &accel,
+                &self.accel,
                 &self.config.accel,
                 plan,
                 &self.config.serve,
                 &prepared,
-                unit_health,
+                health,
             )
             .with_service_scale(scale);
             if let Some(cache) = self.config.cache {
-                let hasher = self.operator.params().hasher();
+                let hasher = self.accel.operator().params().hasher();
                 let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
                 engine = engine.with_sessions(SessionBook::new(registry, &trace.requests));
             }
@@ -761,5 +762,47 @@ const fn outcome_rank(outcome: Outcome) -> u8 {
         Outcome::Served { .. } => 0,
         Outcome::TimedOut | Outcome::ShedQueueFull | Outcome::ShedUnmeetable => 1,
         Outcome::Failed => 2,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elsa_core::attention::ElsaParams;
+    use elsa_linalg::SeededRng;
+    use elsa_serve::BatchPolicy;
+    use elsa_workloads::{DatasetKind, ModelKind, Workload};
+
+    fn operator(seed: u64) -> ElsaAttention {
+        let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
+        let train = workload.generate_batch(1, &mut SeededRng::new(seed));
+        let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(seed + 1));
+        ElsaAttention::learn(params, &train, 1.0)
+    }
+
+    fn accel() -> AcceleratorConfig {
+        AcceleratorConfig { n_max: 200, num_accelerators: 4, ..AcceleratorConfig::paper() }
+    }
+
+    #[test]
+    fn try_new_rejects_a_malformed_batch_policy_without_panicking() {
+        let serve = ServeConfig {
+            batch: BatchPolicy { max_batch: 0, ..BatchPolicy::single_bucket(8, 1_000) },
+            ..ServeConfig::default()
+        };
+        let err = Cluster::try_new(ClusterConfig::baseline(2, accel(), serve), operator(1))
+            .expect_err("max_batch = 0");
+        assert_eq!(err, RuntimeError::InvalidBatchPolicy { reason: "max_batch must be positive" });
+    }
+
+    #[test]
+    fn try_new_rejects_a_misfit_operator_without_panicking() {
+        let config = ClusterConfig::baseline(
+            2,
+            AcceleratorConfig { d: 32, ..accel() },
+            ServeConfig::default(),
+        );
+        let err = Cluster::try_new(config, operator(3)).expect_err("operator d = 64 vs 32");
+        assert!(err.to_string().contains("does not fit hardware d"));
     }
 }

@@ -8,7 +8,7 @@
 //! operator, but a faulty hardware unit bypasses it). These checks are the
 //! serving-time guards: a violation means the approximate pipeline cannot be
 //! trusted for this request and the dispatcher must degrade to exact
-//! attention (see `elsa-runtime`'s failover path).
+//! attention (see `elsa-serve`'s `NodeEngine` dispatch loop).
 //!
 //! [`ElsaAttention::select_candidates`]: crate::ElsaAttention::select_candidates
 

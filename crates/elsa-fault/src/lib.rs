@@ -20,10 +20,6 @@
 //!   candidate set (a corrupted hash signature). The
 //!   [`SATURATION_LIMIT`] sentinel defines the single guard predicate
 //!   (`!(v.abs() < SATURATION_LIMIT)`) that catches every value-level kind.
-//! * [`FaultyAccelerator`] — wraps one [`elsa_sim::ElsaAccelerator`] unit:
-//!   dead units and transient errors surface as typed [`FaultEvent`]s,
-//!   corrupted results are returned exactly as faulty silicon would serve
-//!   them (detection is the serving guard's job, in `elsa-runtime`).
 //! * [`HealthTracker`] — quarantines units after repeated faults so a
 //!   dispatcher can rebalance over the survivors; [`HealthSnapshot`] is
 //!   its read-only view for outside observers (routers, reports).
@@ -35,18 +31,18 @@
 //!   faults across nodes.
 //!
 //! The serial kernels are untouched: faults pre-empt or post-process a run,
-//! never alter the computation inside it.
+//! never alter the computation inside it. The plan is consumed by the one
+//! serving engine, `elsa-serve`'s `NodeEngine`, which asks it per dispatch
+//! and degrades a request to exact attention when its numeric guard trips.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod accelerator;
 pub mod health;
 pub mod inject;
 pub mod node;
 pub mod plan;
 
-pub use accelerator::{FaultEvent, FaultyAccelerator, FaultyRun};
 pub use health::{HealthSnapshot, HealthTracker};
 pub use inject::SATURATION_LIMIT;
 pub use node::{NodeFaultPlan, NodeFaultRates};

@@ -24,27 +24,23 @@
 //!   simulator and combines the result with the host-side (GPU) cost of the
 //!   non-attention work, yielding the end-to-end speedups of §V-C;
 //! * [`error`] — [`error::RuntimeError`]: typed errors for everything a
-//!   caller can get wrong, so serving keeps running instead of panicking;
-//! * [`failover`] — [`failover::FaultTolerantServer`]: the chaos-hardened
-//!   FIFO server: failover across surviving accelerators under a seeded
-//!   `elsa-fault` plan, quarantine of repeatedly faulting units, and
-//!   graceful degradation to exact attention when a numeric guard trips.
+//!   caller can get wrong, so serving keeps running instead of panicking.
+//!
+//! Request serving (batch or online, fault-free or under a seeded fault
+//! plan) lives in `elsa-serve`: one engine, `NodeEngine`, owns dispatch,
+//! retries, quarantine and degradation to exact attention.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
 pub mod error;
-pub mod failover;
 pub mod offload;
 pub mod quality;
 pub mod scheduler;
-pub mod serving;
 pub mod thresholds;
 
 pub use error::RuntimeError;
-pub use failover::{FailoverPolicy, FaultTolerantServer, ServedBatch};
 pub use offload::{ModelOffload, ModelReport};
 pub use quality::DeepProxyModel;
-pub use serving::{InferenceServer, RequestRecord, ServingReport};
 pub use scheduler::{BatchScheduler, SchedulePolicy};
 pub use thresholds::ThresholdTable;

@@ -163,9 +163,10 @@ impl ArrivalTrace {
     }
 
     /// Every entry of a recorded trace arriving simultaneously at t = 0
-    /// with no deadlines — the degenerate stream on which the online
-    /// pipeline must reproduce the offline `InferenceServer::serve`
-    /// bit-for-bit.
+    /// with no deadlines — batch serving: under
+    /// [`ServeConfig::immediate`](crate::ServeConfig::immediate) the
+    /// pipeline dispatches the batch first-come first-served onto the
+    /// unit that frees first.
     #[must_use]
     pub fn simultaneous(trace: &WorkloadTrace) -> Self {
         let requests = trace

@@ -42,8 +42,8 @@ pub struct BatchPolicy {
 
 impl BatchPolicy {
     /// Immediate dispatch: batch size 1, no waiting, one catch-all bucket.
-    /// Under this policy the online pipeline degenerates to the offline
-    /// FIFO server (the bit-identity baseline of `tests/online_serving.rs`).
+    /// Under this policy the pipeline degenerates to a FIFO batch server
+    /// (the bit-identity baseline of `tests/fault_tolerance.rs`).
     #[must_use]
     pub fn immediate() -> Self {
         Self { max_batch: 1, max_wait_ns: 0, length_buckets: vec![usize::MAX] }

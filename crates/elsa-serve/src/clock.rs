@@ -12,10 +12,10 @@
 //! * **queueing time** lives in integer nanoseconds ([`VirtualClock`]),
 //!   where ordering and arithmetic are exact;
 //! * **accelerator busy time** lives in `f64` seconds, because that is what
-//!   [`elsa_sim::CycleReport::seconds`] produces and what
-//!   `InferenceServer::serve` accumulates — keeping the same representation
-//!   makes the unbatched online pipeline *bit-identical* to the offline
-//!   server (enforced by `tests/online_serving.rs`).
+//!   [`elsa_sim::CycleReport::seconds`] produces — charging the simulator's
+//!   seconds unconverted keeps every served record *bit-identical* to a
+//!   plain FIFO fold over per-request cycle-seconds (enforced by
+//!   `tests/fault_tolerance.rs`).
 //!
 //! [`secs_to_ns`] / [`ns_to_secs`] are the only sanctioned bridges.
 

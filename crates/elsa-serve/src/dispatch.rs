@@ -5,22 +5,24 @@
 //!
 //! 1. **Precompute** (the only parallel stage): every request's approximate
 //!    pipeline runs once — service seconds, numeric-guard verdict, inputs —
-//!    fanned out over worker threads in arrival order exactly like the
-//!    offline servers, so the report is bit-identical at any
-//!    `ELSA_THREADS`.
+//!    fanned out over worker threads in arrival order, so the report is
+//!    bit-identical at any `ELSA_THREADS`.
 //! 2. **Admission**: arrivals enter the bounded
 //!    [`AdmissionQueue`]; a full queue triggers the configured
 //!    [`Backpressure`] policy.
 //! 3. **Batching**: a length bucket dispatches when it holds
 //!    `max_batch` requests or its oldest waiter has queued `max_wait_ns`.
 //! 4. **Dispatch**: each batch member routes to the accelerator unit that
-//!    frees first, through the same failover loop as
-//!    `elsa_runtime::FaultTolerantServer` — transient retries, straggler
-//!    slowdowns, quarantine with probation, corruption degrading to exact
-//!    attention — plus two online-only outcomes: a request whose deadline
-//!    passed while it queued is **timed out**, and (optionally) a request
-//!    whose estimated completion would overshoot its deadline is **shed**
-//!    before it wastes accelerator time.
+//!    frees first, through the engine's failover loop — transient retries,
+//!    straggler slowdowns, quarantine with probation, corruption degrading
+//!    to exact attention — plus two deadline outcomes: a request whose
+//!    deadline passed while it queued is **timed out**, and (optionally) a
+//!    request whose estimated completion would overshoot its deadline is
+//!    **shed** before it wastes accelerator time.
+//!
+//! Batch serving is the degenerate case: [`ServeConfig::immediate`] on an
+//! [`ArrivalTrace::simultaneous`] trace dispatches every request alone at
+//! t = 0, first-come first-served onto the unit that frees first.
 //!
 //! Every arrival produces exactly one [`OnlineRecord`], so
 //! `offered = served + shed + timed-out + failed` holds by construction
@@ -42,14 +44,14 @@ use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker};
 use elsa_linalg::ops;
 use elsa_linalg::reduce::sum_f64;
-use elsa_runtime::{InferenceServer, RequestRecord, RuntimeError, ServingReport};
+use elsa_runtime::RuntimeError;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
 use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
 use crate::engine::{
-    entry_admissions, healthy_pool, prepare_entries, prepare_turns, session_admissions,
+    entry_admissions, prepare_entries, prepare_turns, session_admissions, unit_health,
     NodeEngine, PreparedRequest, SessionBook,
 };
 use crate::queue::{Backpressure, QueuedRequest};
@@ -93,8 +95,9 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// No queueing, no batching, no shedding: dispatch every request alone
-    /// the moment it arrives. On a simultaneous trace this reduces the
-    /// pipeline to the offline [`InferenceServer`] bit-for-bit.
+    /// the moment it arrives. On an [`ArrivalTrace::simultaneous`] trace
+    /// this is batch serving: requests go first-come first-served to the
+    /// unit that frees first.
     #[must_use]
     pub fn immediate() -> Self {
         Self { batch: BatchPolicy::immediate(), ..Self::default() }
@@ -162,10 +165,11 @@ impl OnlineRecord {
 
 /// The full outcome of one online trace.
 ///
-/// Extends the offline [`ServingReport`] vocabulary with queue-delay
-/// percentiles, SLO attainment, shed/timeout accounting, and per-bucket
-/// batch occupancy. `PartialEq` compares every `f64` exactly, which is what
-/// the cross-thread determinism test relies on.
+/// Latency and throughput figures are computed over the served requests
+/// only: a dropped or failed request has no meaningful completion latency.
+/// Empty and all-dropped reports yield `0.0`, never `NaN`. `PartialEq`
+/// compares every `f64` exactly, which is what the cross-thread
+/// determinism test relies on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Per-request records, in arrival (id) order.
@@ -236,16 +240,31 @@ impl ServeReport {
         self.records.iter().map(|r| u64::from(r.retries)).sum()
     }
 
+    /// Percentile of one field over the served requests. `q` is clamped to
+    /// `[0, 100]` before it reaches `ops::percentile`, so an out-of-range
+    /// quantile degrades to the min or max, never to an out-of-bounds rank;
+    /// `0.0` when nothing was served.
+    fn served_percentile(&self, field: impl Fn(&OnlineRecord) -> f64, q: f64) -> f64 {
+        let values: Vec<f64> = self.served().map(field).collect();
+        if values.is_empty() {
+            0.0
+        } else {
+            ops::percentile(&values, q.clamp(0.0, 100.0))
+        }
+    }
+
     /// Queue-delay percentile over the served requests (`q` clamped to
     /// `[0, 100]`); `0.0` when nothing was served.
     #[must_use]
     pub fn queue_delay_percentile_s(&self, q: f64) -> f64 {
-        let delays: Vec<f64> = self.served().map(|r| r.queue_delay_s).collect();
-        if delays.is_empty() {
-            0.0
-        } else {
-            ops::percentile(&delays, q.clamp(0.0, 100.0))
-        }
+        self.served_percentile(|r| r.queue_delay_s, q)
+    }
+
+    /// Completion-time percentile over the served requests (`q` clamped to
+    /// `[0, 100]`); `0.0` when nothing was served.
+    #[must_use]
+    pub fn completion_percentile_s(&self, q: f64) -> f64 {
+        self.served_percentile(|r| r.completion_s, q)
     }
 
     /// Mean queue delay over the served requests; `0.0` when nothing was
@@ -287,38 +306,6 @@ impl ServeReport {
             self.served_count() as f64 / makespan
         }
     }
-
-    /// Projects the online records onto the offline [`ServingReport`]
-    /// vocabulary: served requests keep their service/completion times,
-    /// everything else becomes a failed record. On a simultaneous trace
-    /// under [`ServeConfig::immediate`], this is bit-identical to
-    /// [`InferenceServer::serve`] on the materialized requests.
-    #[must_use]
-    pub fn to_serving_report(&self) -> ServingReport {
-        let records = self
-            .records
-            .iter()
-            .map(|r| match r.outcome {
-                Outcome::Served { degraded } => RequestRecord {
-                    n_real: r.n_real,
-                    service_s: r.service_s,
-                    completion_s: r.completion_s,
-                    degraded,
-                    retries: r.retries,
-                    failed: false,
-                },
-                _ => RequestRecord {
-                    n_real: r.n_real,
-                    service_s: 0.0,
-                    completion_s: r.completion_s,
-                    degraded: false,
-                    retries: r.retries,
-                    failed: true,
-                },
-            })
-            .collect();
-        ServingReport { records }
-    }
 }
 
 /// The outcome of one session-serving run: the ordinary serving report plus
@@ -336,8 +323,9 @@ pub struct SessionReport {
 /// fault plan, one serving configuration.
 #[derive(Debug)]
 pub struct OnlineServer {
-    accel_config: AcceleratorConfig,
-    operator: ElsaAttention,
+    /// Built once at construction (which is what validates the operator
+    /// against the hardware) and shared by every replay.
+    accel: ElsaAccelerator,
     plan: FaultPlan,
     config: ServeConfig,
 }
@@ -364,19 +352,15 @@ impl OnlineServer {
         }
     }
 
-    /// Builds the server, reporting an operator/hardware misfit as a typed
+    /// Builds the server, reporting a malformed configuration as a typed
     /// error.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Misfit`] when the hardware configuration is
-    /// invalid or the operator's dimensions do not match it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch policy is malformed (zero batch size,
-    /// non-ascending bucket bounds) — that is a construction bug, not an
-    /// input.
+    /// Returns [`RuntimeError::InvalidBatchPolicy`] when the batch policy is
+    /// malformed (zero batch size, non-ascending bucket bounds), and
+    /// [`RuntimeError::Misfit`] when the hardware configuration is invalid
+    /// or the operator's dimensions do not match it.
     pub fn try_new(
         accel_config: AcceleratorConfig,
         operator: ElsaAttention,
@@ -384,8 +368,8 @@ impl OnlineServer {
         config: ServeConfig,
     ) -> Result<Self, RuntimeError> {
         config.batch.try_validate()?;
-        let _ = InferenceServer::try_new(accel_config, operator.clone())?;
-        Ok(Self { accel_config, operator, plan, config })
+        let accel = ElsaAccelerator::try_new(accel_config, operator)?;
+        Ok(Self { accel, plan, config })
     }
 
     /// The serving configuration.
@@ -424,17 +408,16 @@ impl OnlineServer {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "arrival trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.accel_config, self.operator.clone())?;
-        let health =
-            healthy_pool(&self.plan, self.accel_config.num_accelerators, self.config.quarantine_after)?;
+        let health = self.healthy_pool()?;
 
         // Thread-independent precompute, fanned out in arrival order: the
         // serial event loop below never touches the simulator except for
-        // padded-timing and degraded-fallback runs, which are themselves
-        // deterministic functions of the precomputed state.
-        let prepared = prepare_entries(&accel, &self.accel_config, &trace.requests)?;
+        // padded-timing runs and the degraded path's base-cycle charge,
+        // which are themselves deterministic functions of the precomputed
+        // state.
+        let prepared = prepare_entries(&self.accel, self.accel.config(), &trace.requests)?;
         let admissions = entry_admissions(&self.config.batch, &trace.requests, &prepared);
-        let (records, bucket_stats, _) = self.run_engine(&accel, health, &prepared, &admissions, None);
+        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
         Ok(ServeReport { records, bucket_stats })
     }
 
@@ -476,22 +459,35 @@ impl OnlineServer {
             trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
             "session trace ids must be arrival-order indices"
         );
-        let accel = ElsaAccelerator::try_new(self.accel_config, self.operator.clone())?;
-        let health =
-            healthy_pool(&self.plan, self.accel_config.num_accelerators, self.config.quarantine_after)?;
-        let prepared = prepare_turns(&accel, &self.accel_config, &trace.requests)?;
+        let health = self.healthy_pool()?;
+        let prepared = prepare_turns(&self.accel, self.accel.config(), &trace.requests)?;
         let admissions = session_admissions(&self.config.batch, &trace.requests);
-        let hasher = self.operator.params().hasher();
+        let hasher = self.accel.operator().params().hasher();
         let book = SessionBook::new(
             SessionRegistry::new(cache, hasher.dim(), hasher.k()),
             &trace.requests,
         );
         let (records, bucket_stats, cache_stats) =
-            self.run_engine(&accel, health, &prepared, &admissions, Some(book));
+            self.run_engine(health, &prepared, &admissions, Some(book));
         Ok(SessionReport {
             serve: ServeReport { records, bucket_stats },
             cache: cache_stats.unwrap_or_default(),
         })
+    }
+
+    /// The pool's unit health under the fault plan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::NoHealthyUnits`] when the plan killed every
+    /// unit.
+    fn healthy_pool(&self) -> Result<HealthTracker, RuntimeError> {
+        let units = self.accel.config().num_accelerators;
+        let health = unit_health(&self.plan, units, self.config.quarantine_after);
+        if health.num_available() == 0 {
+            return Err(RuntimeError::NoHealthyUnits);
+        }
+        Ok(health)
     }
 
     /// The serial virtual-clock event loop shared by [`serve`](Self::serve)
@@ -506,14 +502,19 @@ impl OnlineServer {
     /// failed`) that the resulting [`ServeReport`] must never paper over.
     fn run_engine(
         &self,
-        accel: &ElsaAccelerator,
         health: HealthTracker,
         prepared: &[PreparedRequest],
         admissions: &[QueuedRequest],
         sessions: Option<SessionBook<'_>>,
     ) -> (Vec<OnlineRecord>, Vec<BucketStats>, Option<CacheStats>) {
-        let mut engine =
-            NodeEngine::new(accel, &self.accel_config, self.plan, &self.config, prepared, health);
+        let mut engine = NodeEngine::new(
+            &self.accel,
+            self.accel.config(),
+            self.plan,
+            &self.config,
+            prepared,
+            health,
+        );
         if let Some(book) = sessions {
             engine = engine.with_sessions(book);
         }
@@ -862,6 +863,74 @@ mod tests {
         assert_eq!(report.offered_count(), 0);
         assert_eq!(report.slo_attainment(), 1.0);
         assert_eq!(report.queue_delay_percentile_s(99.0), 0.0);
+        assert_eq!(report.completion_percentile_s(99.0), 0.0);
         assert_eq!(report.throughput_per_s(), 0.0);
+    }
+
+    #[test]
+    fn permanent_transients_exhaust_the_retry_budget() {
+        let plan = FaultPlan::seeded(
+            6,
+            elsa_fault::FaultRates { transient: 1.0, ..elsa_fault::FaultRates::none() },
+        );
+        let serve_config =
+            ServeConfig { max_retries: 2, quarantine_after: 100, ..ServeConfig::immediate() };
+        let server = OnlineServer::new(config(), operator(7), plan, serve_config);
+        let recorded =
+            elsa_workloads::WorkloadTrace::record(&workload(), 3, &mut SeededRng::new(8));
+        let report =
+            server.serve(&ArrivalTrace::simultaneous(&recorded)).expect("pool itself is healthy");
+        assert_eq!(report.failed_count(), 3);
+        assert_eq!(report.served_count(), 0);
+        assert!(
+            report.records.iter().all(|r| r.outcome == Outcome::Failed && r.retries == 3),
+            "budget: 1 + max_retries"
+        );
+        for value in [
+            report.throughput_per_s(),
+            report.completion_percentile_s(50.0),
+            report.completion_percentile_s(99.0),
+            report.queue_delay_percentile_s(99.0),
+            report.mean_queue_delay_s(),
+        ] {
+            assert_eq!(value, 0.0, "all-failed reports read 0, never NaN");
+        }
+    }
+
+    #[test]
+    fn try_new_rejects_misfit_operator_without_panicking() {
+        let config = AcceleratorConfig { d: 32, ..AcceleratorConfig::paper() };
+        let err =
+            OnlineServer::try_new(config, operator(27), FaultPlan::none(), ServeConfig::default())
+                .expect_err("operator d = 64 vs 32");
+        assert!(err.to_string().contains("does not fit hardware d"));
+    }
+
+    #[test]
+    fn completion_percentiles_cover_served_requests_only() {
+        // One unit and an impossible SLO on half the pool's work: the shed
+        // requests carry their decision instant as completion, which must
+        // not drag the served percentiles down.
+        let server = OnlineServer::new(
+            AcceleratorConfig { num_accelerators: 1, ..config() },
+            operator(28),
+            FaultPlan::none(),
+            ServeConfig { shed_unmeetable: true, ..ServeConfig::immediate() },
+        );
+        let report = server.serve(&trace(12, 1e9, Some(5_000), 29)).expect("healthy pool");
+        assert!(report.served_count() > 0 && report.shed_count() > 0, "mixed outcomes");
+        let served: Vec<f64> = report
+            .records
+            .iter()
+            .filter(|r| matches!(r.outcome, Outcome::Served { .. }))
+            .map(|r| r.completion_s)
+            .collect();
+        let min = served.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = served.iter().copied().fold(0.0, f64::max);
+        assert_eq!(report.completion_percentile_s(-10.0), min);
+        assert_eq!(report.completion_percentile_s(250.0), max);
+        let p50 = report.completion_percentile_s(50.0);
+        let p99 = report.completion_percentile_s(99.0);
+        assert!(min <= p50 && p50 <= p99 && p99 <= max);
     }
 }

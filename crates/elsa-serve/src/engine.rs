@@ -25,17 +25,22 @@
 //!   (scale `1.0` is bit-transparent: `x × 1.0 ≡ x` for every finite
 //!   charge, preserving the healthy-path equivalence).
 //!
+//! It is the only dispatcher in the workspace: batch serving is the same
+//! engine on an all-at-t=0 trace under [`ServeConfig::immediate`], so
+//! retry, quarantine, straggler and degradation semantics live in exactly
+//! one function, `dispatch_one`.
+//!
 //! Precompute stays outside the engine in [`prepare_entries`] /
 //! [`prepare_turns`]: the only parallel stage, fanned out in arrival order
-//! under the same `elsa_parallel` gate as the offline servers, so reports
-//! are bit-identical at any `ELSA_THREADS` no matter how many engines
-//! share the prepared slice.
+//! under an `elsa_parallel` work gate, so reports are bit-identical at any
+//! `ELSA_THREADS` no matter how many engines share the prepared slice.
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
+use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
 use elsa_workloads::sessions::turn_inputs;
 
@@ -52,7 +57,7 @@ use crate::session::{CacheStats, SessionRegistry, SessionTurnRequest};
 #[derive(Debug)]
 pub struct PreparedRequest {
     /// The materialized attention inputs (kept for padded-timing runs and
-    /// the degraded exact-attention fallback).
+    /// the shape of the degraded exact-attention charge).
     pub inputs: AttentionInputs,
     /// Service seconds of the full from-scratch run.
     pub service_s: f64,
@@ -65,9 +70,10 @@ pub struct PreparedRequest {
     pub trips: bool,
 }
 
-/// The numeric guard (same predicate as the fault-tolerant offline server):
-/// a result is untrustworthy when a non-empty query set selected nothing or
-/// any output value is non-finite or saturated.
+/// The numeric guard: a result is untrustworthy when a non-empty query set
+/// selected nothing or any output value is non-finite or saturated. One
+/// predicate catches NaN, ±∞ and the fixed-point saturation sentinel:
+/// `!(v.abs() < SATURATION_LIMIT)`.
 fn guard_trips(report: &RunReport) -> bool {
     (report.stats.num_queries > 0 && report.stats.selected_pairs == 0)
         || report.output.as_slice().iter().any(|v| !(v.abs() < SATURATION_LIMIT))
@@ -206,27 +212,17 @@ pub fn session_admissions(
         .collect()
 }
 
-/// Marks plan-dead units on a fresh tracker and rejects an all-dead pool.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::NoHealthyUnits`] when the plan killed every
-/// unit.
-pub fn healthy_pool(
-    plan: &FaultPlan,
-    units: usize,
-    quarantine_after: u32,
-) -> Result<HealthTracker, RuntimeError> {
+/// A fresh unit-health tracker for a pool of `units` accelerators with
+/// every plan-dead unit already marked dead. The caller decides what an
+/// all-dead pool means: a lone server rejects it, a fleet marks the node
+/// dead on arrival.
+#[must_use]
+pub fn unit_health(plan: &FaultPlan, units: usize, quarantine_after: u32) -> HealthTracker {
     let mut health = HealthTracker::new(units, quarantine_after);
-    for unit in 0..units {
-        if plan.unit_dead(unit) {
-            health.mark_dead(unit);
-        }
+    for unit in (0..units).filter(|&unit| plan.unit_dead(unit)) {
+        health.mark_dead(unit);
     }
-    if health.num_available() == 0 {
-        return Err(RuntimeError::NoHealthyUnits);
-    }
-    Ok(health)
+    health
 }
 
 /// Session bookkeeping threaded through one engine run: the node's decode
@@ -600,7 +596,7 @@ impl<'a> NodeEngine<'a> {
         let mut attempt = 0u32;
         loop {
             // FIFO over survivors: the available unit that frees first
-            // (first minimum, matching the offline servers).
+            // (first minimum, so ties keep the lowest unit index).
             let Some(unit) = self.health.available_units().into_iter().min_by(|&a, &b| {
                 self.free_at[a].total_cmp(&self.free_at[b])
             }) else {
@@ -633,13 +629,25 @@ impl<'a> NodeEngine<'a> {
                 continue;
             }
             self.health.record_success(unit);
+            // Degrade on a naturally untrustworthy result (the precomputed
+            // guard verdict) or on planned corruption: every
+            // `CorruptionKind` trips `guard_trips` once injected (pinned by
+            // `every_corruption_kind_trips_the_guard` below), so the plan is
+            // asked instead of poisoning a copy of the result.
             let (service_s, degraded) = if self.prepared[request.id].trips
                 || self.plan.corruption(unit, request.id).is_some()
             {
-                // Streaming exact fallback: bit-identical to `run_base` with
-                // O(n) transient memory (see `elsa_attention::flash`).
-                let base = self.accel.run_base_streaming(&self.prepared[request.id].inputs);
-                ((charged_service + base.cycles.seconds(self.accel_config)) * slowdown, true)
+                // Exact fallback on the base datapath: the engine models
+                // timing only, so it charges the base run's cycles without
+                // computing the output (the same cycles `run_base` and
+                // `run_base_streaming` report).
+                let inputs = &self.prepared[request.id].inputs;
+                let base = simulate_execution_base(
+                    self.accel_config,
+                    inputs.num_keys(),
+                    inputs.num_queries(),
+                );
+                ((charged_service + base.seconds(self.accel_config)) * slowdown, true)
             } else {
                 (charged_service * slowdown, false)
             };
@@ -684,5 +692,44 @@ impl<'a> NodeEngine<'a> {
             retries,
             outcome,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use elsa_core::attention::{ElsaAttention, ElsaParams};
+    use elsa_fault::inject::corrupt_report;
+    use elsa_fault::{CorruptionKind, FaultRates};
+    use elsa_linalg::SeededRng;
+
+    /// The engine degrades on `plan.corruption(..).is_some()` without
+    /// poisoning the result, trusting that injected corruption of any kind
+    /// would trip the guard. This is the ground truth behind that trust.
+    #[test]
+    fn every_corruption_kind_trips_the_guard() {
+        let mut rng = SeededRng::new(1);
+        let mut mk = |n: usize| Matrix::from_fn(n, 64, |_, _| rng.standard_normal() as f32);
+        let train = AttentionInputs::new(mk(64), mk(64), mk(64));
+        let inputs = AttentionInputs::new(mk(48), mk(48), mk(48));
+        let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(2));
+        let operator = ElsaAttention::learn(params, &[train], 1.0);
+        let accel = ElsaAccelerator::new(AcceleratorConfig::paper(), operator);
+        let clean = accel.run(&inputs);
+        assert!(!guard_trips(&clean), "a clean result passes the guard");
+
+        use CorruptionKind::{EmptyCandidates, NegInf, Nan, PosInf, SaturatedFixed};
+        let plan = FaultPlan::seeded(21, FaultRates { corrupt: 1.0, ..FaultRates::none() });
+        for kind in [Nan, PosInf, NegInf, SaturatedFixed, EmptyCandidates] {
+            // Exhaustive on purpose: a new kind must be added to the list.
+            match kind {
+                Nan | PosInf | NegInf | SaturatedFixed | EmptyCandidates => {}
+            }
+            for (unit, request) in [(0, 0), (1, 7), (3, 23)] {
+                let mut poisoned = clean.clone();
+                corrupt_report(&mut poisoned, kind, &plan, unit, request);
+                assert!(guard_trips(&poisoned), "{kind:?} at ({unit}, {request}) evades the guard");
+            }
+        }
     }
 }

@@ -1,10 +1,10 @@
 //! Online serving for the ELSA accelerator pool.
 //!
-//! The offline servers in `elsa-runtime` answer "how fast does a batch that
-//! is already here finish?". Production serving asks harder questions: how
-//! long do requests *queue* at a given offered load, when should a batcher
-//! stop waiting, and what do you drop when demand outruns the pool? This
-//! crate answers them with a fully deterministic online pipeline:
+//! Batch serving asks "how fast does a batch that is already here finish?".
+//! Production serving asks harder questions: how long do requests *queue* at
+//! a given offered load, when should a batcher stop waiting, and what do you
+//! drop when demand outruns the pool? This crate answers both with one fully
+//! deterministic pipeline:
 //!
 //! * [`clock`] — a virtual clock in integer nanoseconds; no wall-clock
 //!   reads anywhere, so every run replays bit-for-bit on any host at any
@@ -28,11 +28,12 @@
 //!   public API, so a fleet layer can embed one engine per node and drive
 //!   admissions itself — with evacuation, backlog, session-cache-loss,
 //!   and slow-node hooks for routing and failover.
-//! * [`dispatch`] — the serial event loop: SLO-aware dispatch onto the
-//!   accelerator pool through the same failover semantics as
-//!   `elsa_runtime::FaultTolerantServer`, emitting one [`OnlineRecord`]
-//!   per arrival and a [`ServeReport`] with queue-delay percentiles, SLO
-//!   attainment, shed/timeout accounting, and per-bucket occupancy.
+//! * [`dispatch`] — [`OnlineServer`], the front-end over one engine:
+//!   SLO-aware dispatch onto the accelerator pool with failover (transient
+//!   retries, stragglers, quarantine, degradation to exact attention),
+//!   emitting one [`OnlineRecord`] per arrival and a [`ServeReport`] with
+//!   completion and queue-delay percentiles, SLO attainment, shed/timeout
+//!   accounting, and per-bucket occupancy.
 //! * [`session`] — multi-turn decode serving: replayable [`SessionTrace`]s
 //!   (each arrival is the next turn of a live session, with session
 //!   affinity in the batcher), plus the bounded decode cache — a
@@ -42,10 +43,12 @@
 //!   preprocessing; an evicted session pays the full from-scratch rebuild
 //!   on its next turn.
 //!
-//! Degenerate configurations collapse onto the offline baselines: an
-//! unbounded queue, batch size 1, and a simultaneous trace reproduce
-//! [`elsa_runtime::InferenceServer::serve`] bit-for-bit (enforced by
-//! `tests/online_serving.rs`).
+//! Batch serving is the degenerate configuration, not a second engine:
+//! [`ServeConfig::immediate`] (unbounded queue, batch size 1, no wait) on
+//! an [`ArrivalTrace::simultaneous`] trace dispatches every request at
+//! t = 0, first-come first-served onto the unit that frees first. The
+//! facade's `tests/fault_tolerance.rs` pins that case bitwise against an
+//! independent FIFO fold.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -65,7 +68,7 @@ pub use batcher::{BatchPolicy, BatcherMode, BucketStats};
 pub use clock::VirtualClock;
 pub use dispatch::{OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, SessionReport};
 pub use engine::{
-    entry_admissions, healthy_pool, prepare_entries, prepare_turns, session_admissions,
+    entry_admissions, prepare_entries, prepare_turns, session_admissions, unit_health,
     NodeEngine, NodeParts, PreparedRequest, SessionBook,
 };
 pub use estimator::ServiceEstimator;

@@ -6,22 +6,29 @@
 //! Run: `cargo run --release --example serving`
 
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
+use elsa::fault::FaultPlan;
+use elsa::linalg::reduce::sum_f64;
 use elsa::linalg::SeededRng;
-use elsa::runtime::serving::InferenceServer;
+use elsa::serve::{ArrivalTrace, OnlineServer, ServeConfig};
 use elsa::sim::AcceleratorConfig;
+use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
 
 fn main() {
     let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
     let mut rng = SeededRng::new(88);
     let train = workload.generate_batch(2, &mut rng);
-    let requests = workload.generate_batch(96, &mut rng);
+    // The whole burst arrives at t = 0; immediate dispatch serves it
+    // first-come first-served onto whichever accelerator frees first.
+    let requests = ArrivalTrace::simultaneous(&WorkloadTrace::record(&workload, 96, &mut rng));
 
     let operator =
         ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(89)), &train, 1.0);
-    let server = InferenceServer::new(
+    let server = OnlineServer::new(
         AcceleratorConfig { n_max: 200, ..AcceleratorConfig::paper() },
         operator,
+        FaultPlan::none(),
+        ServeConfig::immediate(),
     );
 
     println!(
@@ -29,14 +36,18 @@ fn main() {
         requests.len(),
         workload.name()
     );
-    let report = server.serve(&requests);
+    let report = server.serve(&requests).expect("operator fits the hardware");
     let lens: Vec<usize> = report.records.iter().map(|r| r.n_real).collect();
     println!(
         "request lengths: min {} / max {} (padding-free execution)",
         lens.iter().min().expect("nonempty"),
         lens.iter().max().expect("nonempty")
     );
-    println!("mean service time: {:.2} us", report.mean_service_s() * 1e6);
+    let total_service_s = sum_f64(report.records.iter().map(|r| r.service_s));
+    println!(
+        "mean service time: {:.2} us",
+        total_service_s / report.served_count() as f64 * 1e6
+    );
     for q in [50.0, 95.0, 99.0] {
         println!(
             "p{q:>2.0} completion latency: {:.2} us",

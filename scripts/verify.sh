@@ -41,7 +41,8 @@ ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test fault
 echo "==> online serving battery (fixed seed, ELSA_THREADS=1 and 4)"
 # The serving acceptance tests promise bit-identical ServeReports at any
 # worker count, offline equivalence of the degenerate pipeline, exact
-# overload accounting, and the bucketed-vs-padded throughput ordering.
+# overload accounting, the bucketed-vs-padded throughput ordering, and exact
+# multi-turn session accounting.
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --offline --test online_serving
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test online_serving
 
@@ -96,6 +97,13 @@ echo "==> cluster serving regression (bench_cluster vs committed BENCH_cluster.j
 # are all deterministic functions of pinned seeds, byte-for-byte.
 cargo run -q --release --offline -p elsa-bench --bin bench_cluster | diff - BENCH_cluster.json \
   || { echo "FAIL: bench_cluster output diverged from committed BENCH_cluster.json"; exit 1; }
+
+echo "==> fault sweep regression (bench_fault vs committed BENCH_fault.json)"
+# bench_fault serves a recorded all-at-t=0 batch through OnlineServer under
+# seeded fault plans and reports only virtual-clock latencies and counts, so
+# the JSON reproduces byte-for-byte on any host.
+cargo run -q --release --offline -p elsa-bench --bin bench_fault | diff - BENCH_fault.json \
+  || { echo "FAIL: bench_fault output diverged from committed BENCH_fault.json"; exit 1; }
 
 echo "==> long-context regression (bench_longctx vs committed BENCH_longctx.json)"
 # bench_longctx is pure seeded arithmetic: the rival frontier (ELSA hashing

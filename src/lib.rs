@@ -21,8 +21,8 @@
 //! | [`sparse`] | software sparse-attention baselines (LSH, local windows) |
 //! | [`pool`] | pooled-KV rival approximation (adaptive K/V compression) |
 //! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
-//! | [`runtime`] | host integration: thresholds, batch scheduling, failover serving |
-//! | [`serve`] | online serving: virtual-clock queueing, dynamic batching, SLO shedding |
+//! | [`runtime`] | host integration: thresholds, batch scheduling, model offload, typed errors |
+//! | [`serve`] | the serving engine: batch and online serving, batching, SLO shedding, failover |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
 //! | [`workloads`] | model zoo, synthetic datasets, proxy metrics |
 //!
@@ -68,7 +68,7 @@ pub use elsa_pool as pool;
 pub use elsa_sparse as sparse;
 /// Host-integration runtime (re-export of `elsa-runtime`).
 pub use elsa_runtime as runtime;
-/// Online serving subsystem (re-export of `elsa-serve`).
+/// The serving engine, batch and online (re-export of `elsa-serve`).
 pub use elsa_serve as serve;
 /// Fault-tolerant multi-node cluster serving (re-export of `elsa-cluster`).
 pub use elsa_cluster as cluster;

@@ -1,37 +1,48 @@
-//! Chaos battery for the fault-injection layer and the failover server.
+//! Chaos battery for the fault-injection layer and the serving engine.
 //!
-//! Three promises are under test, per the fault-tolerance design:
+//! Batch serving is `OnlineServer` under `ServeConfig::immediate()` on an
+//! all-at-t=0 `ArrivalTrace::simultaneous` trace. Four promises are under
+//! test, per the fault-tolerance design:
 //!
 //! * **(a) Zero faults are free** — with a zero-fault [`FaultPlan`], the
-//!   fault-tolerant server's report is bit-for-bit identical
-//!   (`f64::to_bits`, never an epsilon) to the plain `InferenceServer`, at
-//!   any `ELSA_THREADS`.
+//!   records are bit-for-bit identical (`f64::to_bits`, never an epsilon)
+//!   to an independent FIFO fold over per-request cycle-seconds, at every
+//!   worker count and pool size.
 //! * **(b) Failover completes everything** — under injected unit death
-//!   with at least one survivor, every request completes, with no
-//!   duplicated or dropped `RequestRecord`s.
-//! * **(c) Corruption never escapes** — an injected NaN/∞/saturated value
-//!   or wiped candidate set always triggers the exact-attention fallback;
-//!   a NaN is never served.
+//!   with at least one survivor, every request is served with no retries,
+//!   exactly as a zero-fault pool of the survivors alone would serve it.
+//! * **(c) Corruption never escapes** — injected corruption never fails a
+//!   request; it degrades exactly the corrupted requests to exact
+//!   attention, charged the approximate run plus the exact base run.
+//! * **(d) Chaos replays** — under every fault class at once, the records
+//!   are bit-identical at 1 and 4 worker threads and every request is
+//!   accounted for exactly once.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test fault_tolerance`.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use common::{fifo_reference, record_bits};
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::attention::exact::AttentionInputs;
 use elsa::fault::{FaultPlan, FaultRates};
-use elsa::linalg::{Matrix, SeededRng};
+use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
-use elsa::runtime::{FailoverPolicy, FaultTolerantServer, InferenceServer, RuntimeError};
+use elsa::runtime::RuntimeError;
+use elsa::serve::{ArrivalTrace, OnlineServer, ServeConfig, ServeReport};
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
+use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
 use elsa_testkit::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
+const UNIT_COUNTS: [usize; 3] = [1, 4, 12];
 
-fn config() -> AcceleratorConfig {
-    AcceleratorConfig { n_max: 200, num_accelerators: 4, ..AcceleratorConfig::paper() }
+fn config(units: usize) -> AcceleratorConfig {
+    AcceleratorConfig { n_max: 200, num_accelerators: units, ..AcceleratorConfig::paper() }
 }
 
 /// One learned operator shared by the whole battery (learning is the
@@ -46,59 +57,54 @@ fn operator() -> &'static ElsaAttention {
     })
 }
 
-fn requests(count: usize, seed: u64) -> Vec<AttentionInputs> {
+/// A recorded batch: the all-at-t=0 trace the server replays, and the
+/// materialized inputs the oracles run directly.
+fn batch(count: usize, seed: u64) -> (ArrivalTrace, Vec<AttentionInputs>) {
     let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
-    let mut rng = SeededRng::new(seed);
-    workload.generate_batch(count, &mut rng)
+    let recorded = WorkloadTrace::record(&workload, count, &mut SeededRng::new(seed));
+    (ArrivalTrace::simultaneous(&recorded), recorded.materialize())
 }
 
-fn record_bits(report: &elsa::runtime::ServingReport) -> Vec<(usize, u64, u64, bool, u32, bool)> {
-    report
-        .records
-        .iter()
-        .map(|r| {
-            (r.n_real, r.service_s.to_bits(), r.completion_s.to_bits(), r.degraded, r.retries, r.failed)
-        })
-        .collect()
+/// Batch serving on `units` accelerators under `plan`, at `workers` threads.
+fn serve(
+    units: usize,
+    plan: FaultPlan,
+    trace: &ArrivalTrace,
+    workers: usize,
+) -> Result<ServeReport, RuntimeError> {
+    let server =
+        OnlineServer::new(config(units), operator().clone(), plan, ServeConfig::immediate());
+    with_threads(workers, || server.serve(trace))
 }
 
-fn matrix_bits(m: &Matrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
+/// The accelerator the oracles run directly.
+fn accelerator(units: usize) -> ElsaAccelerator {
+    ElsaAccelerator::new(config(units), operator().clone())
 }
 
 props! {
     config: Config::with_cases(6);
 
-    // (a) A zero-fault plan is bit-identical to the plain server, at any
-    // worker count, and the fault-tolerant path agrees with itself across
-    // worker counts.
+    // (a) A zero-fault plan is bit-identical to the FIFO reference at every
+    // worker count.
     fn zero_fault_plan_is_bit_identical_to_plain_serving(
-        count in ints(6, 14),
+        count in ints(6, 20),
         batch_seed in ints_u64(1, 1 << 32),
-        widx in ints(0, 4),
+        uidx in ints(0, 3),
     ) {
-        let batch = requests(count, batch_seed);
-        let plain = InferenceServer::new(config(), operator().clone());
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            FaultPlan::none(),
-            FailoverPolicy::default(),
-        );
-        let baseline = with_threads(1, || plain.serve(&batch));
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
-            .expect("zero-fault plan cannot fail");
-        prop_assert_eq!(record_bits(&baseline), record_bits(&served.report));
-        // Outputs are the approximate pipeline's, bit-for-bit.
-        let accel = ElsaAccelerator::new(config(), operator().clone());
-        for (request, output) in batch.iter().zip(&served.outputs) {
-            let output = output.as_ref().expect("no faults, no failures");
-            prop_assert_eq!(matrix_bits(output), matrix_bits(&accel.run(request).output));
+        let units = UNIT_COUNTS[uidx];
+        let (trace, requests) = batch(count, batch_seed);
+        let reference =
+            record_bits(&fifo_reference(&accelerator(units), FaultPlan::none(), &requests));
+        for workers in WORKER_COUNTS {
+            let report = serve(units, FaultPlan::none(), &trace, workers)
+                .expect("zero-fault plan cannot fail");
+            prop_assert_eq!(&record_bits(&report.records), &reference, "{} workers", workers);
         }
     }
 
-    // (b) Unit death with >= 1 survivor: every request completes via
-    // failover, no records duplicated or dropped.
+    // (b) Unit death with >= 1 survivor: every request is served with no
+    // retries, exactly as a zero-fault pool of the survivors serves it.
     fn unit_death_fails_over_and_accounts_for_every_request(
         count in ints(6, 14),
         batch_seed in ints_u64(1, 1 << 32),
@@ -110,50 +116,28 @@ props! {
         let death_pct = 10 + plan_seed % 81;
         let rates = FaultRates { unit_death: death_pct as f64 / 100.0, ..FaultRates::none() };
         let plan = FaultPlan::seeded(plan_seed, rates);
-        let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        match with_threads(WORKER_COUNTS[widx], || server.serve(&batch)) {
+        let (trace, requests) = batch(count, batch_seed);
+        let units = 4;
+        match serve(units, plan, &trace, WORKER_COUNTS[widx]) {
             Err(RuntimeError::NoHealthyUnits) => {
                 // The plan killed the whole pool: the error is the contract.
-                prop_assert!((0..4).all(|u| plan.unit_dead(u)));
+                prop_assert!((0..units).all(|u| plan.unit_dead(u)));
             }
             Err(other) => prop_assert!(false, "unexpected error: {other}"),
-            Ok(served) => {
-                prop_assert!((0..4).any(|u| !plan.unit_dead(u)));
-                // One record per request, in arrival order: nothing dropped,
-                // nothing duplicated.
-                prop_assert_eq!(served.report.records.len(), batch.len());
-                prop_assert_eq!(served.outputs.len(), batch.len());
-                let order: Vec<usize> = served.report.records.iter().map(|r| r.n_real).collect();
-                let expected: Vec<usize> = batch.iter().map(|r| r.num_keys()).collect();
-                prop_assert_eq!(order, expected);
-                // Death alone (no transients, no deadline) fails nothing.
-                prop_assert_eq!(served.report.failed_count(), 0);
-                prop_assert_eq!(served.report.served_count(), batch.len());
-                prop_assert_eq!(served.report.total_retries(), 0);
-                for output in &served.outputs {
-                    let output = output.as_ref().expect("completed via failover");
-                    prop_assert!(output.as_slice().iter().all(|v| v.is_finite()));
-                }
-                // Dead units never accumulate completions: every completion
-                // time must be reachable by the survivors alone.
-                let survivors = (0..4).filter(|&u| !plan.unit_dead(u)).count();
-                let plain = InferenceServer::new(
-                    AcceleratorConfig { num_accelerators: survivors, ..config() },
-                    operator().clone(),
-                );
-                prop_assert_eq!(record_bits(&plain.serve(&batch)), record_bits(&served.report));
+            Ok(report) => {
+                let survivors = (0..units).filter(|&u| !plan.unit_dead(u)).count();
+                prop_assert!(survivors > 0);
+                prop_assert_eq!(report.served_count(), count);
+                prop_assert_eq!(report.total_retries(), 0);
+                let pool = fifo_reference(&accelerator(survivors), FaultPlan::none(), &requests);
+                prop_assert_eq!(record_bits(&report.records), record_bits(&pool));
             }
         }
     }
 
-    // (c) Injected corruption always degrades to exact attention; a NaN is
-    // never served.
+    // (c) Injected corruption never fails a request: it degrades exactly
+    // the requests the plan corrupts on the unit they land on, charging
+    // the approximate run plus the exact base run.
     fn corruption_always_degrades_to_exact_and_never_serves_nan(
         count in ints(4, 10),
         batch_seed in ints_u64(1, 1 << 32),
@@ -164,123 +148,62 @@ props! {
         let corrupt_pct = 20 + plan_seed % 81;
         let rates = FaultRates { corrupt: corrupt_pct as f64 / 100.0, ..FaultRates::none() };
         let plan = FaultPlan::seeded(plan_seed, rates);
-        let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
+        let (trace, requests) = batch(count, batch_seed);
+        let report = serve(4, plan, &trace, WORKER_COUNTS[widx])
             .expect("corruption is survivable");
-        let accel = ElsaAccelerator::new(config(), operator().clone());
-        prop_assert_eq!(served.report.failed_count(), 0);
-        let mut degraded = 0;
-        for (i, (request, output)) in batch.iter().zip(&served.outputs).enumerate() {
-            let output = output.as_ref().expect("corruption degrades, never fails");
-            prop_assert!(
-                output.as_slice().iter().all(|v| v.is_finite()),
-                "request {i}: NaN/∞ served"
-            );
-            let record = served.report.records[i];
-            // The plan says which (unit, request) pairs were poisoned; the
-            // guard must have caught every one of them. The unit is whichever
-            // one the FIFO picked, so check the record tag instead: any
-            // poisoned request is degraded, and degraded outputs are exactly
-            // the base (exact-attention) run.
-            if record.degraded {
-                degraded += 1;
-                prop_assert_eq!(
-                    matrix_bits(output),
-                    matrix_bits(&accel.run_base(request).output)
-                );
-            } else {
-                prop_assert_eq!(matrix_bits(output), matrix_bits(&accel.run(request).output));
-            }
-        }
-        prop_assert_eq!(degraded, served.report.degraded_count());
-        if corrupt_pct >= 100 {
-            prop_assert_eq!(degraded, batch.len(), "corrupt rate 1.0 must degrade everything");
-        }
+        prop_assert_eq!(
+            record_bits(&report.records),
+            record_bits(&fifo_reference(&accelerator(4), plan, &requests))
+        );
     }
 
-    // Regression for the streaming-fallback rewiring: forced corruption
-    // (rate 1.0) degrades every request, and the degraded outputs — now
-    // produced by the tiled streaming kernel — are bit-identical to the
-    // naive `run_base` outputs they replaced, at any worker count.
+    // Forced corruption (rate 1.0) degrades every request, each charged
+    // bit-for-bit the approximate run plus what the oracle's naive
+    // `run_base` costs, at any worker count.
     fn forced_corruption_streaming_fallback_matches_run_base_bitwise(
         count in ints(4, 10),
         batch_seed in ints_u64(1, 1 << 32),
         plan_seed in ints_u64(1, 1 << 32),
         widx in ints(0, 4),
     ) {
-        let rates = FaultRates { corrupt: 1.0, ..FaultRates::none() };
-        let plan = FaultPlan::seeded(plan_seed, rates);
-        let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let served = with_threads(WORKER_COUNTS[widx], || server.serve(&batch))
+        let plan = FaultPlan::seeded(plan_seed, FaultRates { corrupt: 1.0, ..FaultRates::none() });
+        let (trace, requests) = batch(count, batch_seed);
+        let report = serve(4, plan, &trace, WORKER_COUNTS[widx])
             .expect("corruption is survivable");
-        prop_assert_eq!(served.report.degraded_count(), batch.len());
-        let accel = ElsaAccelerator::new(config(), operator().clone());
-        for (request, output) in batch.iter().zip(&served.outputs) {
-            let output = output.as_ref().expect("degraded, never failed");
-            let base = accel.run_base(request);
-            let streaming = accel.run_base_streaming(request);
-            // The served output IS the streaming kernel's, and the streaming
-            // kernel IS the naive base run, bit for bit — including the
-            // cycle/energy accounting the service time was charged from.
-            prop_assert_eq!(matrix_bits(output), matrix_bits(&streaming.output));
-            prop_assert_eq!(matrix_bits(output), matrix_bits(&base.output));
-            prop_assert_eq!(&streaming.cycles, &base.cycles);
-            prop_assert_eq!(
-                streaming.energy.total_j().to_bits(),
-                base.energy.total_j().to_bits()
-            );
-        }
+        prop_assert_eq!(report.degraded_count(), count);
+        prop_assert_eq!(
+            record_bits(&report.records),
+            record_bits(&fifo_reference(&accelerator(4), plan, &requests))
+        );
     }
 
-    // Full chaos: every fault class at once; the report accounts for 100%
-    // of requests and replays identically at any worker count.
+    // (d) Full chaos: every fault class at once; the report accounts for
+    // 100% of requests and replays identically at 1 and 4 worker threads.
     fn chaotic_plans_account_for_every_request_and_replay(
         count in ints(6, 12),
         batch_seed in ints_u64(1, 1 << 32),
         plan_seed in ints_u64(1, 1 << 32),
     ) {
         let plan = FaultPlan::seeded(plan_seed, FaultRates::chaotic());
-        let batch = requests(count, batch_seed);
-        let server = FaultTolerantServer::new(
-            config(),
-            operator().clone(),
-            plan,
-            FailoverPolicy::default(),
-        );
-        let serial = with_threads(1, || server.serve(&batch));
-        let parallel = with_threads(4, || server.serve(&batch));
-        match (serial, parallel) {
+        let (trace, _) = batch(count, batch_seed);
+        match (serve(4, plan, &trace, 1), serve(4, plan, &trace, 4)) {
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (Ok(serial), Ok(parallel)) => {
-                prop_assert_eq!(record_bits(&serial.report), record_bits(&parallel.report));
-                let report = &serial.report;
-                prop_assert_eq!(report.records.len(), batch.len());
-                prop_assert_eq!(report.served_count() + report.failed_count(), batch.len());
-                prop_assert!(report.degraded_count() <= report.served_count());
-                for (record, output) in report.records.iter().zip(&serial.outputs) {
-                    prop_assert_eq!(record.failed, output.is_none());
-                    if let Some(output) = output {
-                        prop_assert!(output.as_slice().iter().all(|v| v.is_finite()));
-                    }
-                }
+                prop_assert_eq!(record_bits(&serial.records), record_bits(&parallel.records));
+                prop_assert_eq!(serial.offered_count(), count);
+                prop_assert_eq!(
+                    serial.served_count()
+                        + serial.shed_count()
+                        + serial.timed_out_count()
+                        + serial.failed_count(),
+                    count
+                );
+                prop_assert!(serial.degraded_count() <= serial.served_count());
                 // NaN-free aggregate metrics even under chaos.
                 for q in [50.0, 95.0, 99.0] {
-                    prop_assert!(!report.completion_percentile_s(q).is_nan());
+                    prop_assert!(!serial.completion_percentile_s(q).is_nan());
                 }
-                prop_assert!(!report.throughput_per_s().is_nan());
-                prop_assert!(!report.mean_service_s().is_nan());
+                prop_assert!(!serial.throughput_per_s().is_nan());
             }
             (a, b) => prop_assert!(false, "outcomes diverged across worker counts: {a:?} vs {b:?}"),
         }

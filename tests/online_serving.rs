@@ -7,8 +7,8 @@
 //!   `ELSA_THREADS`, including under a chaotic fault plan.
 //! * **(b) Offline equivalence** — with an unbounded queue, no batching
 //!   wait, batch size 1, and a simultaneous trace, the online pipeline's
-//!   per-request records are bit-identical to
-//!   `InferenceServer::serve` on the materialized requests.
+//!   per-request records are bit-identical to the offline FIFO oracle
+//!   shared with the fault-tolerance battery (`tests/common`).
 //! * **(c) Overload behavior** — accounting is exact
 //!   (`offered = served + shed + timed-out + failed`) at every load, and
 //!   SLO attainment degrades monotonically across increasing λ on the
@@ -28,19 +28,21 @@
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test online_serving`.
 
+mod common;
+
 use std::sync::OnceLock;
 
+use common::{fifo_reference, record_bits};
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
-use elsa::runtime::InferenceServer;
 use elsa::serve::{
     ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, BatcherMode, CacheConfig,
     EvictionPolicy, OnlineServer, Outcome, ServeConfig, ServeReport, SessionArrivalConfig,
     SessionTrace,
 };
-use elsa::sim::AcceleratorConfig;
+use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
 
@@ -145,42 +147,17 @@ fn chaotic_fault_plan_stays_deterministic_across_worker_counts() {
 #[test]
 fn degenerate_online_pipeline_matches_offline_server_bit_for_bit() {
     let recorded = WorkloadTrace::record(&workload(), 20, &mut SeededRng::new(0xD1CE));
-    let requests = recorded.materialize();
-    let offline = InferenceServer::new(config(), operator().clone()).serve(&requests);
-
+    let accel = ElsaAccelerator::new(config(), operator().clone());
+    let offline = fifo_reference(&accel, FaultPlan::none(), &recorded.materialize());
     let online_server = OnlineServer::new(
         config(),
         operator().clone(),
         FaultPlan::none(),
         ServeConfig::immediate(),
     );
-    let online = online_server
-        .serve(&ArrivalTrace::simultaneous(&recorded))
-        .expect("healthy pool")
-        .to_serving_report();
-
-    assert_eq!(offline.records.len(), online.records.len());
-    for (i, (off, on)) in offline.records.iter().zip(&online.records).enumerate() {
-        assert_eq!(off.n_real, on.n_real, "request {i}");
-        assert_eq!(
-            off.service_s.to_bits(),
-            on.service_s.to_bits(),
-            "request {i}: service {} vs {}",
-            off.service_s,
-            on.service_s
-        );
-        assert_eq!(
-            off.completion_s.to_bits(),
-            on.completion_s.to_bits(),
-            "request {i}: completion {} vs {}",
-            off.completion_s,
-            on.completion_s
-        );
-        assert_eq!(off.degraded, on.degraded, "request {i}");
-        assert_eq!(off.failed, on.failed, "request {i}");
-    }
-    // The whole-report comparison catches anything the field loop missed.
-    assert_eq!(offline, online);
+    let online =
+        online_server.serve(&ArrivalTrace::simultaneous(&recorded)).expect("healthy pool");
+    assert_eq!(record_bits(&online.records), record_bits(&offline));
 }
 
 // ---- (c) overload: exact accounting + monotone SLO degradation ----

@@ -91,9 +91,8 @@ props! {
     // Monotone in q even for out-of-range quantiles (q is drawn well
     // outside [0, 100]): `ops::percentile` clamps the rank, so q <= 0 pins
     // to the min, q >= 100 to the max, and the serving-report percentiles
-    // built on it (`ServingReport::completion_percentile_s`, the
-    // `ServeReport` queue-delay percentiles) can never index out of bounds
-    // or extrapolate.
+    // built on it (`ServeReport`'s completion and queue-delay percentiles)
+    // can never index out of bounds or extrapolate.
     fn percentile_is_monotone(
         values in vecs(range(-100.0, 100.0), 1, 50),
         q1 in range(-100.0, 250.0),
@@ -112,14 +111,28 @@ props! {
     }
 
     // The serving report inherits the clamp: out-of-range quantiles pin to
-    // the fastest / slowest surviving completion.
+    // the fastest / slowest served completion.
     fn serving_report_percentile_clamps(
         times in vecs(range(0.001, 100.0), 1, 24),
         q in range(-100.0, 300.0),
     ) {
-        use elsa::runtime::{RequestRecord, ServingReport};
-        let report = ServingReport {
-            records: times.iter().map(|&t| RequestRecord::served(8, t, t)).collect(),
+        use elsa::serve::{OnlineRecord, Outcome, ServeReport};
+        let served = |(id, &t): (usize, &f64)| OnlineRecord {
+            id,
+            n_real: 8,
+            bucket: 0,
+            arrival_ns: 0,
+            deadline_ns: None,
+            decided_ns: 0,
+            queue_delay_s: 0.0,
+            service_s: t,
+            completion_s: t,
+            retries: 0,
+            outcome: Outcome::Served { degraded: false },
+        };
+        let report = ServeReport {
+            records: times.iter().enumerate().map(served).collect(),
+            bucket_stats: Vec::new(),
         };
         let p = report.completion_percentile_s(q);
         let min = times.iter().copied().fold(f64::INFINITY, f64::min);
