@@ -1,19 +1,33 @@
 //! A minimal row-major dense matrix.
 //!
 //! The ELSA pipeline works entirely with small dense matrices (`n × d` with
-//! `n ≤ 2048`, `d = 64`), so the implementation favours clarity and exact
-//! control over accumulation order (dot products accumulate in `f64`, which
-//! keeps the f32 substrate bit-stable across refactors) over blocking or SIMD.
+//! `n ≤ 2048`, `d = 64`). Both products, [`Matrix::matmul`] and
+//! [`Matrix::matmul_transpose_b`], run one packed, register-blocked kernel:
 //!
-//! Large products are row-partitioned over `elsa-parallel` workers: each
-//! output row is computed by the unchanged serial inner loops, so parallel
-//! results are bit-identical to serial ones for every worker count (and
+//! 1. the right operand is packed once per call into `f64` panels of `NR`
+//!    columns, k-major inside each panel (lanes past the last column are
+//!    zero and never stored);
+//! 2. each block of `MR` left-operand rows is converted to `f64` once;
+//! 3. a fixed-size `MR × NR` accumulator walks k in order over one panel.
+//!
+//! The blocking changes which outputs are computed together, never how one
+//! is computed: every output element is a single sequential `f64` sum, in
+//! k order, of exact `f32 × f32` products, rounded once to `f32`. That is
+//! the arithmetic of the plain triple loop, so results are bit-identical to
+//! it, and a `#[cfg(test)]` oracle battery in this module pins that.
+//!
+//! Large products are partitioned over `elsa-parallel` workers in `MR`-row
+//! blocks. A block never splits a reduction, so parallel results are
+//! bit-identical to serial ones for every worker count (and
 //! `ELSA_THREADS=1` never spawns a thread).
 
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use crate::ops;
+/// Left-operand rows per register block: the unit the products fan out over.
+const MR: usize = 2;
+/// Right-operand columns per packed panel: the width of one accumulator row.
+const NR: usize = 8;
 
 /// A dense row-major `f32` matrix.
 ///
@@ -157,6 +171,9 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
+    /// Each element is one sequential `f64` sum, in k order, of exact
+    /// `f32 × f32` products, started at `+0.0` and rounded once to `f32`.
+    ///
     /// # Panics
     ///
     /// Panics if `self.cols() != other.rows()`.
@@ -167,37 +184,16 @@ impl Matrix {
             "matmul shape mismatch: {}x{} · {}x{}",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        if out.data.is_empty() {
-            return out;
-        }
-        let work = self.rows.saturating_mul(self.cols).saturating_mul(other.cols);
-        let compute_row = |i: usize, row_out: &mut [f32]| {
-            let lhs = self.row(i);
-            for (j, slot) in row_out.iter_mut().enumerate() {
-                let mut acc = 0.0f64;
-                for (k, &l) in lhs.iter().enumerate() {
-                    acc += f64::from(l) * f64::from(other[(k, j)]);
-                }
-                *slot = acc as f32;
-            }
-        };
-        if elsa_parallel::beneficial(work) {
-            elsa_parallel::par_chunks_mut(&mut out.data, other.cols, compute_row);
-        } else {
-            for (i, row_out) in out.data.chunks_mut(other.cols).enumerate() {
-                compute_row(i, row_out);
-            }
-        }
-        out
+        // Sums start at +0.0, so an empty or all-(-0.0) sum is +0.0.
+        self.gemm(&pack_panels(other, false), other.cols, 0.0)
     }
 
     /// Matrix product against a transposed right operand: `self · otherᵀ`.
     ///
     /// This is the natural layout for attention's `QKᵀ` (both `Q` and `K` are
-    /// stored row-major as `n × d`), and is measurably faster than
-    /// `self.matmul(&other.transpose())` because both inner loops walk
-    /// contiguous rows.
+    /// stored row-major as `n × d`). Each element equals
+    /// [`ops::dot`](crate::ops::dot) of the two rows, rounded to `f32`, bit
+    /// for bit.
     ///
     /// # Panics
     ///
@@ -209,22 +205,37 @@ impl Matrix {
             "matmul_transpose_b shape mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, other.rows, other.cols
         );
-        let mut out = Matrix::zeros(self.rows, other.rows);
+        // Sums start at -0.0, as `Iterator::sum::<f64>` (and so `ops::dot`)
+        // does, so an empty or all-(-0.0) dot product is -0.0.
+        self.gemm(&pack_panels(other, true), other.rows, -0.0)
+    }
+
+    /// `self · B` for a right operand `B` (`self.cols() × n`) packed by
+    /// [`pack_panels`]; every output element is one k-order `f64` sum started
+    /// at `init`, rounded once to `f32`.
+    fn gemm(&self, packed: &[f64], n: usize, init: f64) -> Matrix {
+        let k = self.cols;
+        let mut out = Matrix::zeros(self.rows, n);
         if out.data.is_empty() {
             return out;
         }
-        let work = self.rows.saturating_mul(self.cols).saturating_mul(other.rows);
-        let compute_row = |i: usize, row_out: &mut [f32]| {
-            let lhs = self.row(i);
-            for (j, slot) in row_out.iter_mut().enumerate() {
-                *slot = ops::dot(lhs, other.row(j)) as f32;
+        let block = |b: usize, out_rows: &mut [f32]| {
+            let lhs = &self.data[b * MR * k..][..out_rows.len() / n * k];
+            if out_rows.len() == MR * n {
+                row_block::<MR>(lhs, packed, init, out_rows);
+            } else {
+                // The last, partial block runs row by row.
+                for (r, out_row) in out_rows.chunks_mut(n).enumerate() {
+                    row_block::<1>(&lhs[r * k..][..k], packed, init, out_row);
+                }
             }
         };
+        let work = self.rows.saturating_mul(k).saturating_mul(n);
         if elsa_parallel::beneficial(work) {
-            elsa_parallel::par_chunks_mut(&mut out.data, other.rows, compute_row);
+            elsa_parallel::par_chunks_mut(&mut out.data, MR * n, block);
         } else {
-            for (i, row_out) in out.data.chunks_mut(other.rows).enumerate() {
-                compute_row(i, row_out);
+            for (b, out_rows) in out.data.chunks_mut(MR * n).enumerate() {
+                block(b, out_rows);
             }
         }
         out
@@ -362,6 +373,60 @@ impl Matrix {
     }
 }
 
+/// Packs the right operand `B` of a product into `⌈n / NR⌉` panels of
+/// `k × NR` `f64` values, k-major inside each panel; lanes past column `n`
+/// stay zero. `B` is `rhs` (`k × n`) or, when `transposed`, `rhsᵀ`.
+fn pack_panels(rhs: &Matrix, transposed: bool) -> Vec<f64> {
+    let (k, n) = if transposed { (rhs.cols, rhs.rows) } else { (rhs.rows, rhs.cols) };
+    let mut packed = vec![0.0; n.div_ceil(NR) * k * NR];
+    for (r, row) in rhs.iter_rows().enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            let (kk, j) = if transposed { (c, r) } else { (r, c) };
+            packed[(j / NR * k + kk) * NR + j % NR] = f64::from(x);
+        }
+    }
+    packed
+}
+
+/// Computes `R` consecutive output rows (`out`, `R × n`) from the matching
+/// left-operand rows (`lhs`, `R × k`): converts them to `f64` once, k-major,
+/// then runs the micro-kernel against every panel.
+fn row_block<const R: usize>(lhs: &[f32], packed: &[f64], init: f64, out: &mut [f32]) {
+    let (k, n) = (lhs.len() / R, out.len() / R);
+    let mut a = vec![0.0; R * k];
+    for (kk, a_k) in a.chunks_exact_mut(R).enumerate() {
+        for (r, slot) in a_k.iter_mut().enumerate() {
+            *slot = f64::from(lhs[r * k + kk]);
+        }
+    }
+    let panel_len = k * NR;
+    for (p, j0) in (0..n).step_by(NR).enumerate() {
+        let acc = micro_kernel::<R>(&a, &packed[p * panel_len..][..panel_len], init);
+        let width = NR.min(n - j0);
+        for (out_row, acc_row) in out.chunks_exact_mut(n).zip(&acc) {
+            for (slot, &v) in out_row[j0..j0 + width].iter_mut().zip(acc_row) {
+                *slot = v as f32;
+            }
+        }
+    }
+}
+
+/// The register block: `R × NR` accumulators, each one sequential `f64` sum
+/// over k of `a[k][r] · panel[k][c]`, started at `init`. Plain `*` and `+`:
+/// an `f32 × f32` product is exact in `f64`, so each step rounds once, as
+/// the scalar loop does.
+fn micro_kernel<const R: usize>(a: &[f64], panel: &[f64], init: f64) -> [[f64; NR]; R] {
+    let mut acc = [[init; NR]; R];
+    for (a_k, b_k) in a.chunks_exact(R).zip(panel.chunks_exact(NR)) {
+        for (acc_row, &x) in acc.iter_mut().zip(a_k) {
+            for (slot, &y) in acc_row.iter_mut().zip(b_k) {
+                *slot += x * y;
+            }
+        }
+    }
+    acc
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = f32;
 
@@ -443,11 +508,13 @@ mod tests {
 
     #[test]
     fn matmul_transpose_b_equals_explicit_transpose() {
+        // Both run one kernel; only the start value differs, and no element
+        // here is an all-(-0.0) sum, so the two agree bit for bit.
         let a = Matrix::from_fn(5, 7, |r, c| ((r * 7 + c) % 13) as f32 - 6.0);
         let b = Matrix::from_fn(4, 7, |r, c| ((r * 3 + c) % 5) as f32);
         let fast = a.matmul_transpose_b(&b);
         let slow = a.matmul(&b.transpose());
-        assert!(fast.max_abs_diff(&slow) < 1e-5);
+        assert!(kernel_oracle::same_bits(&fast, &slow));
     }
 
     #[test]
@@ -504,5 +571,177 @@ mod tests {
         let s = format!("{m}");
         assert!(s.contains("Matrix 20x20"));
         assert!(s.contains('…'));
+    }
+
+    /// The blocked kernel against the scalar loops it replaced, bit for bit.
+    mod kernel_oracle {
+        use crate::matrix::{Matrix, MR, NR};
+        use crate::{ops, SeededRng};
+        use elsa_testkit::prelude::*;
+
+        /// The scalar `matmul`: one `acc = 0.0` column loop per element.
+        fn oracle_matmul(a: &Matrix, b: &Matrix) -> Matrix {
+            let mut out = Matrix::zeros(a.rows, b.cols);
+            for i in 0..a.rows {
+                for j in 0..b.cols {
+                    let mut acc = 0.0f64;
+                    for (k, &l) in a.row(i).iter().enumerate() {
+                        acc += f64::from(l) * f64::from(b[(k, j)]);
+                    }
+                    out[(i, j)] = acc as f32;
+                }
+            }
+            out
+        }
+
+        /// The scalar `matmul_transpose_b`: one `ops::dot` per element.
+        fn oracle_matmul_transpose_b(a: &Matrix, b: &Matrix) -> Matrix {
+            Matrix::from_fn(a.rows, b.rows, |i, j| ops::dot(a.row(i), b.row(j)) as f32)
+        }
+
+        /// Same shape and the same bits everywhere, except that NaNs compare
+        /// by NaN-ness only: Rust leaves a NaN's sign and payload unspecified.
+        pub(super) fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+            (x.rows, x.cols) == (y.rows, y.cols) && first_mismatch(x, y).is_none()
+        }
+
+        /// Flat index of the first element whose bits differ (NaN by NaN-ness).
+        fn first_mismatch(x: &Matrix, y: &Matrix) -> Option<usize> {
+            x.data.iter().zip(&y.data).position(|(a, b)| {
+                a.to_bits() != b.to_bits() && !(a.is_nan() && b.is_nan())
+            })
+        }
+
+        /// Every dimension the battery draws: the degenerate sizes, both
+        /// sides of each block edge, and primes up to 71.
+        const SHAPES: [usize; 28] = [
+            0, 1, MR - 1, MR, MR + 1, NR - 1, NR, NR + 1, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
+            37, 41, 43, 47, 53, 59, 61, 67, 71,
+        ];
+
+        /// IEEE corner cases: signed zeros, subnormals, infinities, NaN, and
+        /// magnitudes near `f32::MAX` whose products overflow `f32` but not
+        /// `f64`.
+        const SPECIALS: [f32; 12] = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::MAX,
+            -f32::MAX,
+            1.5e38,
+            -3.0e36,
+        ];
+
+        /// A `rows × cols` matrix: `special_pct`% corner cases, the rest
+        /// normal draws spread over 2^±20 so the summation order shows in
+        /// the rounding.
+        fn random_matrix(rng: &mut SeededRng, rows: usize, cols: usize, special_pct: usize) -> Matrix {
+            Matrix::from_fn(rows, cols, |_, _| {
+                if rng.index(100) < special_pct {
+                    SPECIALS[rng.index(SPECIALS.len())]
+                } else {
+                    (rng.standard_normal() * 2f64.powi(rng.index(41) as i32 - 20)) as f32
+                }
+            })
+        }
+
+        /// Makes the last output element an all-(-0.0) sum: the last left
+        /// row becomes +0.0 and the last column of `B` (`b`, or `bᵀ` when
+        /// `transposed`) negative, so every product is `+0.0 × -x = -0.0`.
+        fn pin_negative_zero_products(a: &mut Matrix, b: &mut Matrix, transposed: bool) {
+            if let Some(last) = a.rows.checked_sub(1) {
+                a.row_mut(last).fill(0.0);
+            }
+            if transposed {
+                if let Some(last) = b.rows.checked_sub(1) {
+                    b.row_mut(last).fill(-1.5);
+                }
+            } else if let Some(last) = b.cols.checked_sub(1) {
+                for r in 0..b.rows {
+                    b[(r, last)] = -1.5;
+                }
+            }
+        }
+
+        fn describe(got: &Matrix, want: &Matrix) -> String {
+            match first_mismatch(got, want) {
+                Some(i) => format!(
+                    "element ({}, {}): kernel {:?} ({:#010x}), oracle {:?} ({:#010x})",
+                    i / got.cols,
+                    i % got.cols,
+                    got.data[i],
+                    got.data[i].to_bits(),
+                    want.data[i],
+                    want.data[i].to_bits()
+                ),
+                None => format!("shape {}x{} vs {}x{}", got.rows, got.cols, want.rows, want.cols),
+            }
+        }
+
+        props! {
+            config: Config::with_cases(192);
+
+            // `matmul` equals the `acc = 0.0` column loop bit for bit.
+            fn matmul_matches_scalar_oracle_bitwise(
+                m in ints(0, SHAPES.len()),
+                k in ints(0, SHAPES.len()),
+                n in ints(0, SHAPES.len()),
+                special_pct in ints(0, 41),
+                zero_sum in bools(),
+                seed in ints_u64(0, u64::MAX),
+            ) {
+                let (m, k, n) = (SHAPES[m], SHAPES[k], SHAPES[n]);
+                let mut rng = SeededRng::new(seed);
+                let mut a = random_matrix(&mut rng, m, k, special_pct);
+                let mut b = random_matrix(&mut rng, k, n, special_pct);
+                if zero_sum {
+                    pin_negative_zero_products(&mut a, &mut b, false);
+                }
+                let (got, want) = (a.matmul(&b), oracle_matmul(&a, &b));
+                prop_assert!(same_bits(&got, &want), "{m}x{k} · {k}x{n}: {}", describe(&got, &want));
+            }
+
+            // `matmul_transpose_b` equals `ops::dot` per element bit for bit.
+            fn matmul_transpose_b_matches_dot_oracle_bitwise(
+                m in ints(0, SHAPES.len()),
+                k in ints(0, SHAPES.len()),
+                n in ints(0, SHAPES.len()),
+                special_pct in ints(0, 41),
+                zero_sum in bools(),
+                seed in ints_u64(0, u64::MAX),
+            ) {
+                let (m, k, n) = (SHAPES[m], SHAPES[k], SHAPES[n]);
+                let mut rng = SeededRng::new(seed);
+                let mut a = random_matrix(&mut rng, m, k, special_pct);
+                let mut b = random_matrix(&mut rng, n, k, special_pct);
+                if zero_sum {
+                    pin_negative_zero_products(&mut a, &mut b, true);
+                }
+                let (got, want) = (a.matmul_transpose_b(&b), oracle_matmul_transpose_b(&a, &b));
+                let shape = format!("{m}x{k} · ({n}x{k})ᵀ");
+                prop_assert!(same_bits(&got, &want), "{shape}: {}", describe(&got, &want));
+            }
+        }
+
+        #[test]
+        fn sign_of_zero_is_pinned_per_entry_point() {
+            // An all-(-0.0) sum: `matmul_transpose_b` starts at -0.0 like
+            // `Iterator::sum`, `matmul` at +0.0 like its scalar loop.
+            let a = Matrix::from_rows(&[&[0.0, 0.0]]);
+            let b = Matrix::from_rows(&[&[-1.0, -2.0]]);
+            assert_eq!(a.matmul_transpose_b(&b)[(0, 0)].to_bits(), (-0.0f32).to_bits());
+            assert_eq!(a.matmul(&b.transpose())[(0, 0)].to_bits(), 0.0f32.to_bits());
+            // An empty sum (k = 0) is the start value itself.
+            let qk = Matrix::zeros(MR + 1, 0).matmul_transpose_b(&Matrix::zeros(NR + 1, 0));
+            assert!(qk.as_slice().iter().all(|x| x.to_bits() == (-0.0f32).to_bits()));
+            let pv = Matrix::zeros(MR + 1, 0).matmul(&Matrix::zeros(0, NR + 1));
+            assert!(pv.as_slice().iter().all(|x| x.to_bits() == 0.0f32.to_bits()));
+            assert_eq!((pv.rows(), pv.cols()), (MR + 1, NR + 1));
+        }
     }
 }

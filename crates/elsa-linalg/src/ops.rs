@@ -1,9 +1,11 @@
 //! Vector kernels used by the attention pipeline.
 //!
-//! All reductions accumulate in `f64` so results are independent of the order
-//! refactorings might impose, and stable enough to serve as the "exact"
-//! reference against which the approximation and the quantized datapath are
-//! judged.
+//! All reductions accumulate in `f64`, in a pinned order (index order, one
+//! sequential sum), and are precise enough to serve as the "exact" reference
+//! against which the approximation and the quantized datapath are judged.
+//! The `f64` accumulator does not make a sum independent of its order — a
+//! refactoring that reorders one changes its rounding — so the order itself
+//! is part of each kernel's contract.
 
 /// Dot product with `f64` accumulation.
 ///
@@ -154,6 +156,10 @@ pub fn mean(v: &[f64]) -> f64 {
 /// The `q`-th percentile (0 ≤ q ≤ 100) using linear interpolation between
 /// order statistics; 0.0 for empty input.
 ///
+/// Values are ordered by [`f64::total_cmp`], so a NaN input never panics:
+/// positive NaNs sort above `+∞` and negative ones below `-∞`, and a
+/// percentile that lands on or next to one is NaN.
+///
 /// # Examples
 ///
 /// ```
@@ -166,7 +172,7 @@ pub fn percentile(values: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
+    sorted.sort_by(f64::total_cmp);
     let rank = (q / 100.0).clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
@@ -292,6 +298,17 @@ mod tests {
         assert_eq!(percentile(&v, 50.0), 30.0);
         assert!((percentile(&v, 80.0) - 42.0).abs() < 1e-12);
         assert_eq!(percentile(&[], 50.0), 0.0);
+    }
+
+    #[test]
+    fn percentile_orders_nan_without_panicking() {
+        // total_cmp puts a positive NaN above every number: the low
+        // percentiles stay finite and the top one is NaN.
+        let v = [3.0, f64::NAN, 1.0, 2.0];
+        assert_eq!(percentile(&v, 0.0), 1.0);
+        assert_eq!(percentile(&v, 50.0), 2.5);
+        assert!(percentile(&v, 100.0).is_nan());
+        assert!(percentile(&[f64::NAN], 50.0).is_nan());
     }
 
     #[test]

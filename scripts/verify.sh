@@ -78,6 +78,17 @@ echo "==> long-context battery (fixed seed, ELSA_THREADS=1 and 4)"
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --offline --test longctx
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test longctx
 
+echo "==> matmul kernel oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
+# The packed, register-blocked kernel behind Matrix::matmul and
+# matmul_transpose_b promises bitwise equality with the scalar loops it
+# replaced (one k-order f64 sum per element from the same start value; NaN
+# compared by NaN-ness) on every block-edge shape and IEEE corner value; run
+# the oracle battery under a pinned seed at both thread counts, optimized,
+# since the vectorized release build is the code every caller runs (the
+# workspace runs above already cover the debug build).
+ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --release --offline -p elsa-linalg --lib kernel_oracle
+ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --release --offline -p elsa-linalg --lib kernel_oracle
+
 echo "==> flash accounting regression (bench_flash vs committed BENCH_flash.json)"
 # bench_flash reads no wall clock: every value is an analytic FLOP/byte
 # count or a deterministic model cycle count from pinned seeds, so the
