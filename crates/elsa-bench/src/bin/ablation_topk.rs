@@ -22,11 +22,10 @@ fn topk_candidates(operator: &ElsaAttention, inputs: &AttentionInputs, k: usize)
         .map(|i| {
             let qh = hasher.hash(inputs.query().row(i));
             let mut sims: Vec<(usize, f64)> = pre
-                .hashes()
+                .norms()
                 .iter()
-                .zip(pre.norms())
                 .enumerate()
-                .map(|(j, (h, &norm))| (j, lut.similarity(&qh, h, norm)))
+                .map(|(j, &norm)| (j, lut.cos_of_hamming(qh.hamming_words(pre.signature(j))) * norm))
                 .collect();
             sims.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite similarity"));
             sims.truncate(k.max(1));

@@ -259,6 +259,12 @@ impl CosLut {
         self.values[h]
     }
 
+    /// Every entry, indexed by Hamming distance: `values()[h] == value(h)`.
+    #[must_use]
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// Number of entries (`k + 1`).
     #[must_use]
     pub fn len(&self) -> usize {

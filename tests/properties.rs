@@ -202,7 +202,8 @@ props! {
         let cutoff = operator.threshold() * pre.max_norm();
         if !fallback {
             for &j in &selected {
-                let sim = operator.params().lut().similarity(&qh, &pre.hashes()[j], pre.norms()[j]);
+                let h = qh.hamming_words(pre.signature(j));
+                let sim = operator.params().lut().cos_of_hamming(h) * pre.norms()[j];
                 prop_assert!(sim > cutoff, "selected key {j} below cutoff");
             }
         } else {

@@ -67,8 +67,8 @@ fn assert_streaming_equals_from_scratch(
 
     // State: signatures, norms, max-norm register — all bitwise.
     assert_eq!(
-        streaming.preprocessed().hashes(),
-        fixed.preprocessed().hashes(),
+        streaming.preprocessed().signatures(),
+        fixed.preprocessed().signatures(),
         "{label}: signatures diverged"
     );
     assert_eq!(
@@ -330,8 +330,8 @@ props! {
         let mut rebuilt = StreamingSession::with_value_dim(&operator, d);
         rebuilt.append_rows(&k, &v); // from-scratch rebuild + remaining decode
         prop_assert_eq!(
-            kept.preprocessed().hashes(),
-            rebuilt.preprocessed().hashes()
+            kept.preprocessed().signatures(),
+            rebuilt.preprocessed().signatures()
         );
         prop_assert_eq!(
             f64_bits(kept.preprocessed().norms()),
