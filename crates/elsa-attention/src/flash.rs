@@ -123,12 +123,12 @@ pub fn flash_attention(inputs: &AttentionInputs, scale: f32, config: FlashConfig
     let d_v = inputs.value().cols();
     let tile = config.tile.clamp(1, n);
     let mut out = Matrix::zeros(inputs.num_queries(), d_v);
-    // Work estimate mirrors the naive pipeline's gates: dot products +
-    // exponentials + weighted sum per query row.
+    // Per query-key pair: a serial f64 dot and an accumulate, about four units
+    // per element, and one f64 exp, about 32 (`elsa_parallel::MIN_PARALLEL_WORK`).
     let work = inputs
         .num_queries()
         .saturating_mul(n)
-        .saturating_mul(inputs.dim() + d_v + 8);
+        .saturating_mul(4 * (inputs.dim() + d_v) + 32);
     out.par_rows_mut(work, |i, row| {
         stream_row(inputs, scale, tile, i, row);
     });

@@ -247,8 +247,9 @@ impl Matrix {
     /// and internally unchanged, so results are bit-identical to the serial
     /// row-order loop regardless of worker count.
     ///
-    /// `work_hint` is the caller's estimate of total scalar operations (rows
-    /// × cols × per-element cost); below the threshold the loop runs inline.
+    /// `work_hint` is the caller's estimate of the total work, in the units
+    /// of [`elsa_parallel::MIN_PARALLEL_WORK`] (rows × cols × the cost of one
+    /// element in those units); below the threshold the loop runs inline.
     pub fn par_rows_mut(&mut self, work_hint: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
         if self.data.is_empty() {
             return;

@@ -79,9 +79,9 @@ fn guard_trips(report: &RunReport) -> bool {
         || report.output.as_slice().iter().any(|v| !(v.abs() < SATURATION_LIMIT))
 }
 
-/// Σ n²·d across shapes — the work estimate the parallel gate keys on.
+/// Σ n²·d across shapes at about six `elsa_parallel::MIN_PARALLEL_WORK` units each.
 fn precompute_work(shapes: impl Iterator<Item = (usize, usize)>) -> usize {
-    shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d)).sum()
+    shapes.map(|(n, d)| n.saturating_mul(n).saturating_mul(d).saturating_mul(6)).sum()
 }
 
 /// Surfaces the first misfit of a precompute fan-out as a typed error.

@@ -98,15 +98,17 @@ impl LshAttention {
         let d = inputs.dim();
         let mut sets: Vec<std::collections::BTreeSet<usize>> =
             vec![std::collections::BTreeSet::new(); nq];
-        let hash_work = (n + nq).saturating_mul(self.config.bucket_bits).saturating_mul(d);
+        // Per row one hash of `bucket_bits × d` dense projection multiplies,
+        // about seven units each (see `elsa_parallel::MIN_PARALLEL_WORK`).
+        let row_work = self.config.bucket_bits.saturating_mul(d).saturating_mul(7);
         for round in 0..self.config.rounds {
             // Bucket ids for all keys and queries (the parallelizable part).
-            let key_ids: Vec<usize> = if elsa_parallel::beneficial(hash_work) {
+            let key_ids: Vec<usize> = if elsa_parallel::beneficial(n.saturating_mul(row_work)) {
                 elsa_parallel::par_map_indexed(n, |j| self.bucket(round, inputs.key().row(j)))
             } else {
                 (0..n).map(|j| self.bucket(round, inputs.key().row(j))).collect()
             };
-            let query_ids: Vec<usize> = if elsa_parallel::beneficial(hash_work) {
+            let query_ids: Vec<usize> = if elsa_parallel::beneficial(nq.saturating_mul(row_work)) {
                 elsa_parallel::par_map_indexed(nq, |i| self.bucket(round, inputs.query().row(i)))
             } else {
                 (0..nq).map(|i| self.bucket(round, inputs.query().row(i))).collect()
