@@ -17,6 +17,10 @@
 //! attention profile with the threshold learned at p = 1 on a held-out
 //! input of the same n (the wall-clock benchmark's prefill operator).
 //!
+//! Within each row the two sides' samples alternate (serial and parallel,
+//! or ELSA and exact), so host drift during a capture does not land on one
+//! side.
+//!
 //! The emitted `host_cores` field records `available_parallelism()` at
 //! capture time: speedup from 4 workers requires ≥ 4 physical cores, and on
 //! a single-core host the parallel path can only measure its scheduling
@@ -40,18 +44,36 @@ fn random_inputs(n: usize, seed: u64) -> AttentionInputs {
     AttentionInputs::new(mk(&mut rng), mk(&mut rng), mk(&mut rng))
 }
 
-/// Median wall-clock seconds of `samples` runs (after one warmup run).
-fn median_s(samples: usize, mut f: impl FnMut()) -> f64 {
-    f(); // warmup
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+/// Wall-clock seconds of one run of `f`.
+fn time_s(f: &mut impl FnMut()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64()
+}
+
+fn median(mut times: Vec<f64>) -> f64 {
     times.sort_by(f64::total_cmp);
     times[times.len() / 2]
+}
+
+/// Median wall-clock seconds of `samples` runs each of `a` and `b`, after
+/// one warmup run of each. The samples alternate, `a` first on even rounds
+/// and `b` first on odd ones, so host drift during the capture lands on
+/// both sides alike.
+fn paired_medians_s(samples: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let (mut ta, mut tb) = (Vec::with_capacity(samples), Vec::with_capacity(samples));
+    for round in 0..samples {
+        if round % 2 == 0 {
+            ta.push(time_s(&mut a));
+            tb.push(time_s(&mut b));
+        } else {
+            tb.push(time_s(&mut b));
+            ta.push(time_s(&mut a));
+        }
+    }
+    (median(ta), median(tb))
 }
 
 struct Row {
@@ -88,16 +110,16 @@ fn crossover(n: usize) -> Crossover {
             _ => 1,
         };
         let candidate_fraction = operator.forward(&inputs).1.candidate_fraction();
-        Crossover {
-            n,
-            candidate_fraction,
-            elsa_median_s: median_s(samples, || {
+        let (elsa_median_s, exact_median_s) = paired_medians_s(
+            samples,
+            || {
                 std::hint::black_box(operator.forward(&inputs));
-            }),
-            exact_median_s: median_s(samples, || {
+            },
+            || {
                 std::hint::black_box(exact::attention_with_scale(&inputs, scale));
-            }),
-        }
+            },
+        );
+        Crossover { n, candidate_fraction, elsa_median_s, exact_median_s }
     })
 }
 
@@ -108,17 +130,12 @@ fn main() {
     for &n in &SIZES {
         let samples = if n >= 2048 { 3 } else { 7 };
         let inputs = random_inputs(n, 11);
-        let serial =
-            median_s(samples, || {
-                elsa_parallel::with_threads(1, || {
-                    std::hint::black_box(exact::scaled_attention(&inputs));
-                });
-            });
-        let parallel = median_s(samples, || {
-            elsa_parallel::with_threads(PARALLEL_WORKERS, || {
+        let at = |workers: usize| {
+            elsa_parallel::with_threads(workers, || {
                 std::hint::black_box(exact::scaled_attention(&inputs));
             });
-        });
+        };
+        let (serial, parallel) = paired_medians_s(samples, || at(1), || at(PARALLEL_WORKERS));
         rows.push(Row { kernel: "exact_attention", n, serial_median_s: serial, parallel_median_s: parallel });
     }
 
@@ -129,16 +146,12 @@ fn main() {
     for &n in &SIZES {
         let samples = if n >= 2048 { 3 } else { 7 };
         let inputs = random_inputs(n, 13);
-        let serial = median_s(samples, || {
-            elsa_parallel::with_threads(1, || {
+        let at = |workers: usize| {
+            elsa_parallel::with_threads(workers, || {
                 std::hint::black_box(operator.forward(&inputs));
             });
-        });
-        let parallel = median_s(samples, || {
-            elsa_parallel::with_threads(PARALLEL_WORKERS, || {
-                std::hint::black_box(operator.forward(&inputs));
-            });
-        });
+        };
+        let (serial, parallel) = paired_medians_s(samples, || at(1), || at(PARALLEL_WORKERS));
         rows.push(Row { kernel: "elsa_pipeline", n, serial_median_s: serial, parallel_median_s: parallel });
     }
 

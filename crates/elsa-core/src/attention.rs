@@ -332,11 +332,17 @@ impl ElsaAttention {
         limit: usize,
     ) -> (Vec<usize>, bool) {
         assert!(limit > 0 && limit <= pre.len(), "limit out of range");
-        let lut = self.params.lut.table();
         assert_eq!(query_hash.len(), self.params.lut.k(), "query hash length mismatch");
         assert_eq!(pre.bits, query_hash.len(), "hash length mismatch");
+        self.select_words(query_hash.as_words(), pre, limit)
+    }
+
+    /// The scan of [`select_candidates_bounded`](Self::select_candidates_bounded)
+    /// for a query signature given as packed words; the caller has checked
+    /// its length against the keys' and `limit` against their count.
+    fn select_words(&self, q: &[u64], pre: &PreprocessedKeys, limit: usize) -> (Vec<usize>, bool) {
+        let lut = self.params.lut.table();
         let cutoff = self.threshold * pre.max_norm();
-        let q = query_hash.as_words();
         let norms = &pre.norms()[..limit];
         let signatures = &pre.signatures()[..limit * q.len()];
         // Hashes of at most 64 bits (the paper's k = 64) take a one-word
@@ -361,29 +367,30 @@ impl ElsaAttention {
 
     /// Computes candidate lists for every query of an invocation.
     ///
-    /// Queries are independent, so hashing + selection fans out across worker
-    /// threads when the invocation is large enough; per-query results are
+    /// Keys and then queries are hashed in one call each (the block kernels
+    /// of [`SrpHasher`]); per-query selection then fans out across worker
+    /// threads when the invocation is large enough. Per-query results are
     /// collected in query order and the statistics are folded serially in
-    /// that same order, so both outputs are bit-identical to the serial loop
-    /// at any worker count.
+    /// that same order, so both outputs are bit-identical to the serial
+    /// loop at any worker count.
     #[must_use]
     pub fn candidates(&self, inputs: &AttentionInputs) -> (Vec<Vec<usize>>, SelectionStats) {
         let pre = PreprocessedKeys::compute(&self.params, inputs.key());
+        let queries = self.params.hasher.hash_rows_flat(inputs.query());
+        let words = self.params.hasher.words();
         let mut stats = SelectionStats {
             total_pairs: inputs.num_queries() * inputs.num_keys(),
             num_queries: inputs.num_queries(),
             num_keys: inputs.num_keys(),
             ..SelectionStats::default()
         };
-        // Per query: one hash plus one scan step per key, which costs about
-        // 20 matmul multiply-adds (see `elsa_parallel::MIN_PARALLEL_WORK`).
-        let scan = inputs.num_keys().saturating_mul(20);
-        let per_query = self.params.hasher.work_per_hash().saturating_add(scan);
-        let work = inputs.num_queries().saturating_mul(per_query);
-        let select_one = |i: usize| {
-            let qh = self.params.hasher.hash(inputs.query().row(i));
-            self.select_candidates(&qh, &pre)
-        };
+        // Per query: one scan step per key, which costs about 20 matmul
+        // multiply-adds (see `elsa_parallel::MIN_PARALLEL_WORK`).
+        let work = inputs.num_queries().saturating_mul(inputs.num_keys()).saturating_mul(20);
+        // `AttentionInputs` holds at least one key, and both signatures come
+        // from this operator's hasher.
+        let select_one =
+            |i: usize| self.select_words(&queries[i * words..][..words], &pre, pre.len());
         let per_query_results: Vec<(Vec<usize>, bool)> = if elsa_parallel::beneficial(work) {
             elsa_parallel::par_map_indexed(inputs.num_queries(), select_one)
         } else {

@@ -16,8 +16,31 @@
 //! Both are orthogonal, so their statistical quality is identical; the
 //! Kronecker form exists purely to cut the hash-computation cost, and the
 //! test-suite checks the two agree in estimator quality.
+//!
+//! # How rows are hashed
+//!
+//! Preprocessing hashes every key and query of an invocation, so many rows
+//! are hashed at once; a decode step hashes one. Both go through the same
+//! arithmetic, and a row's signature has the same bits either way:
+//!
+//! * **Kronecker** — `elsa_linalg::KroneckerFactors::apply_each`, the block
+//!   kernel that contracts each mode for a block of rows at once (one `f64`
+//!   chain per output element over the factor row in order, started at
+//!   `+0.0`, rounded to `f32` per mode). Many rows fan out over workers in
+//!   kernel-sized blocks; one row is the kernel's one-row case.
+//! * **Dense** — many rows are the one product `X·Mᵀ`
+//!   (`Matrix::matmul_transpose_b`, which fans out under its own gate);
+//!   one row is `ops::dot` against each projection row. Both are one `f64`
+//!   sum per element, in `d` order, started at `−0.0`, so they agree bit for
+//!   bit.
+//!
+//! The signs are packed straight from the projected values, and a one-row
+//! hash allocates nothing but its result. The root suite
+//! `tests/hash_oracle.rs` pins both paths at 0 ulp against the per-mode and
+//! per-dot loops they replaced.
 
-use elsa_linalg::{kronecker::KroneckerFactors, orthogonal, Matrix, SeededRng};
+use elsa_linalg::kronecker::{KroneckerFactors, BLOCK_ROWS};
+use elsa_linalg::{ops, orthogonal, Matrix, SeededRng};
 
 /// A packed `k`-bit binary embedding.
 ///
@@ -117,9 +140,7 @@ impl BinaryHash {
 fn pack_signs(projected: &[f32], words: &mut [u64]) {
     words.fill(0);
     for (i, &v) in projected.iter().enumerate() {
-        if v >= 0.0 {
-            words[i / 64] |= 1 << (i % 64);
-        }
+        words[i / 64] |= u64::from(v >= 0.0) << (i % 64);
     }
 }
 
@@ -160,6 +181,10 @@ impl std::fmt::LowerHex for BinaryHash {
 pub fn estimate_angle(hamming: usize, k: usize) -> f64 {
     std::f64::consts::PI * hamming as f64 / k as f64
 }
+
+/// Fan-out work of one Kronecker projection multiply in the block kernel,
+/// in `elsa_parallel::MIN_PARALLEL_WORK` units.
+const KRONECKER_WORK_PER_MULTIPLY: usize = 3;
 
 /// The projection backend of a [`SrpHasher`].
 #[derive(Debug, Clone)]
@@ -270,12 +295,6 @@ impl SrpHasher {
         }
     }
 
-    /// Fan-out work of one hash, in `elsa_parallel::MIN_PARALLEL_WORK`
-    /// units: a projection multiply costs about 16 matmul multiply-adds.
-    pub(crate) fn work_per_hash(&self) -> usize {
-        self.multiplication_count().saturating_mul(16)
-    }
-
     /// The projected (pre-sign) vector — exposed for the quantized datapath
     /// in `elsa-sim`, which re-computes the projection in fixed point.
     ///
@@ -286,9 +305,7 @@ impl SrpHasher {
     pub fn project(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.d, "input dimension mismatch");
         match &self.projection {
-            Projection::Dense(m) => {
-                (0..self.k).map(|r| elsa_linalg::ops::dot(m.row(r), x) as f32).collect()
-            }
+            Projection::Dense(m) => m.iter_rows().map(|row| ops::dot(row, x) as f32).collect(),
             Projection::Kronecker(t) => t.apply(x),
         }
     }
@@ -300,26 +317,44 @@ impl SrpHasher {
     }
 
     /// Hashes one vector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.dim()`.
     #[must_use]
     pub fn hash(&self, x: &[f32]) -> BinaryHash {
-        BinaryHash::from_signs(&self.project(x))
+        let mut words = vec![0; self.words()];
+        self.hash_into(x, &mut words);
+        BinaryHash { words, len: self.k }
     }
 
-    /// Hashes one vector into `words` in place: afterwards `words` equals
-    /// `self.hash(x).as_words()`, bit for bit.
+    /// Hashes one vector into `words` in place, allocating nothing:
+    /// afterwards `words` equals `self.hash(x).as_words()`, bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.dim()` or `words.len() != self.words()`.
     pub(crate) fn hash_into(&self, x: &[f32], words: &mut [u64]) {
+        assert_eq!(x.len(), self.d, "input dimension mismatch");
         assert_eq!(words.len(), self.words(), "signature word count mismatch");
-        pack_signs(&self.project(x), words);
+        match &self.projection {
+            Projection::Dense(m) => {
+                words.fill(0);
+                for (i, row) in m.iter_rows().enumerate() {
+                    words[i / 64] |= u64::from(ops::dot(row, x) as f32 >= 0.0) << (i % 64);
+                }
+            }
+            Projection::Kronecker(t) => t.apply_each(x, |_, y| pack_signs(y, words)),
+        }
     }
 
     /// Hashes every row of a matrix (all keys, or all queries), one
-    /// [`BinaryHash`] per row. Rows fan out across worker threads when the
-    /// total projection cost is large enough; the output is bit-identical to
-    /// the serial loop at any worker count.
+    /// [`BinaryHash`] per row, bit-identical to [`hash`](Self::hash) on each
+    /// row at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.cols() != self.dim()`.
     #[must_use]
     pub fn hash_rows(&self, m: &Matrix) -> Vec<BinaryHash> {
         self.hash_rows_flat(m)
@@ -329,23 +364,47 @@ impl SrpHasher {
     }
 
     /// Hashes every row of a matrix into one flat store: row `r`'s signature
-    /// is the `words()` packed words at `r · words()`, filled by
-    /// [`hash_into`](Self::hash_into).
+    /// is the `words()` packed words at `r · words()`, equal to
+    /// [`hash_into`](Self::hash_into) on row `r`.
     ///
-    /// Rows fan out across worker threads when the total projection cost is
-    /// large enough; each row is hashed by the unchanged serial kernel into
-    /// its own slot, so the output is bit-identical to the serial loop at any
+    /// A dense projection is one product `X·Mᵀ`, which fans out under the
+    /// product's own gate. A Kronecker projection runs the block kernel over
+    /// all rows; when the total projection cost is large enough, blocks of
+    /// [`BLOCK_ROWS`] rows fan out across workers, each into its own slots.
+    /// Either way the output is bit-identical to the serial loop at any
     /// worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m.cols() != self.dim()`.
     #[must_use]
     pub(crate) fn hash_rows_flat(&self, m: &Matrix) -> Vec<u64> {
-        let mut flat = vec![0; m.rows() * self.words()];
-        let work = m.rows().saturating_mul(self.work_per_hash());
-        let fill = |r: usize, words: &mut [u64]| self.hash_into(m.row(r), words);
-        if elsa_parallel::beneficial(work) {
-            elsa_parallel::par_chunks_mut(&mut flat, self.words(), fill);
-        } else {
-            for (r, words) in flat.chunks_exact_mut(self.words()).enumerate() {
-                fill(r, words);
+        assert_eq!(m.cols(), self.d, "input dimension mismatch");
+        let w = self.words();
+        let mut flat = vec![0; m.rows() * w];
+        match &self.projection {
+            Projection::Dense(p) => {
+                let projected = m.matmul_transpose_b(p);
+                for (y, words) in projected.iter_rows().zip(flat.chunks_exact_mut(w)) {
+                    pack_signs(y, words);
+                }
+            }
+            Projection::Kronecker(t) => {
+                // Fills the signatures of the rows from `block · BLOCK_ROWS` on.
+                let fill = |block: usize, words: &mut [u64]| {
+                    let first = block * BLOCK_ROWS * self.d;
+                    let rows = &m.as_slice()[first..][..words.len() / w * self.d];
+                    t.apply_each(rows, |r, y| pack_signs(y, &mut words[r * w..][..w]));
+                };
+                let work = m
+                    .rows()
+                    .saturating_mul(t.multiplication_count())
+                    .saturating_mul(KRONECKER_WORK_PER_MULTIPLY);
+                if elsa_parallel::beneficial(work) {
+                    elsa_parallel::par_chunks_mut(&mut flat, BLOCK_ROWS * w, fill);
+                } else {
+                    fill(0, &mut flat);
+                }
             }
         }
         flat

@@ -14,10 +14,37 @@
 //! not (`k ≠ d` works, per Zhang et al., *Fast Orthogonal Projection based on
 //! Kronecker Product*, ICCV 2015), with an exact multiplication counter that
 //! the hardware cost model consumes.
+//!
+//! # The block kernel
+//!
+//! [`KroneckerFactors::apply_each`] transforms many rows with one kernel. It
+//! contracts the modes in factor order, each for a block of
+//! [`BLOCK_ROWS`] rows at once, stored rows innermost so that one factor
+//! weight multiplies a whole block; the rows past the last full block go
+//! through the same kernel one at a time, and [`KroneckerFactors::apply`]
+//! is that one-row case. The order of every output element's arithmetic is
+//! pinned: one `f64` chain over the factor row's `j` in order, started at
+//! `+0.0`, each `f32 × f32` product exact in `f64`, rounded once to `f32`
+//! per mode. The blocking decides which rows are computed together, never
+//! how one element is computed, so a row's image has the same bits in a
+//! block, alone, and at any block position. Intermediates live in per-thread
+//! scratch buffers, so a warm call allocates nothing.
+
+use std::cell::Cell;
 
 use crate::matrix::Matrix;
 use crate::orthogonal;
 use crate::rng::SeededRng;
+
+/// Rows the block kernel carries through each mode together, one per lane.
+pub const BLOCK_ROWS: usize = 8;
+
+thread_local! {
+    /// The block kernel's two intermediate buffers. A call takes them and
+    /// puts them back, so a warm call allocates nothing and a nested call
+    /// on the same thread simply starts from empty ones.
+    static SCRATCH: Cell<(Vec<f32>, Vec<f32>)> = const { Cell::new((Vec::new(), Vec::new())) };
+}
 
 /// A linear map represented as the Kronecker product of small factors,
 /// `A = A₁ ⊗ A₂ ⊗ … ⊗ A_m`, applied via efficient mode-wise contraction.
@@ -135,7 +162,8 @@ impl KroneckerFactors {
     }
 
     /// Applies the composite transform to a vector using mode-wise
-    /// contraction (`multiplication_count()` scalar multiplies).
+    /// contraction (`multiplication_count()` scalar multiplies): the
+    /// one-row case of [`apply_each`](Self::apply_each).
     ///
     /// # Panics
     ///
@@ -143,29 +171,77 @@ impl KroneckerFactors {
     #[must_use]
     pub fn apply(&self, x: &[f32]) -> Vec<f32> {
         assert_eq!(x.len(), self.input_dim(), "input length mismatch");
-        let mut data = x.to_vec();
-        let mut dims: Vec<usize> = self.factors.iter().map(Matrix::cols).collect();
-        for (mode, factor) in self.factors.iter().enumerate() {
-            data = contract_mode(&data, &dims, mode, factor);
-            dims[mode] = factor.rows();
-        }
-        data
+        let mut y = Vec::with_capacity(self.output_dim());
+        self.apply_each(x, |_, image| y.extend_from_slice(image));
+        y
     }
 
-    /// Applies the transform to every row of `m` (e.g. hashing all keys at
-    /// once), returning an `m.rows() × output_dim()` matrix.
+    /// Applies the transform to every row of `rows` (row-major,
+    /// `input_dim()` values per row) and hands `f` each row's index and
+    /// image (`output_dim()` values), in row order.
+    ///
+    /// Full blocks of [`BLOCK_ROWS`] rows run through the modes together;
+    /// the remaining rows run one at a time. Either way each output element
+    /// is the chain the module docs pin, so every image has the bits of
+    /// [`apply`](Self::apply) on its row. The image is borrowed from scratch
+    /// space that the next row reuses.
     ///
     /// # Panics
     ///
-    /// Panics if `m.cols() != self.input_dim()`.
-    #[must_use]
-    pub fn apply_rows(&self, m: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(m.rows(), self.output_dim());
-        for r in 0..m.rows() {
-            let y = self.apply(m.row(r));
-            out.row_mut(r).copy_from_slice(&y);
+    /// Panics if `rows.len()` is not a multiple of `input_dim()`.
+    pub fn apply_each(&self, rows: &[f32], mut f: impl FnMut(usize, &[f32])) {
+        let d = self.input_dim();
+        assert_eq!(rows.len() % d, 0, "input length mismatch");
+        let (mut a, mut b) = SCRATCH.take();
+        let mut blocks = rows.chunks_exact(BLOCK_ROWS * d);
+        let mut first = 0;
+        for block in blocks.by_ref() {
+            self.block::<BLOCK_ROWS>(block, &mut a, &mut b, |lane, image| f(first + lane, image));
+            first += BLOCK_ROWS;
         }
-        out
+        for row in blocks.remainder().chunks_exact(d) {
+            self.block::<1>(row, &mut a, &mut b, |_, image| f(first, image));
+            first += 1;
+        }
+        SCRATCH.set((a, b));
+    }
+
+    /// Runs `R` rows (`rows`, row-major) through every mode, with `a` and
+    /// `b` as ping-pong scratch, and hands `f` each lane's image.
+    fn block<const R: usize>(
+        &self,
+        rows: &[f32],
+        a: &mut Vec<f32>,
+        b: &mut Vec<f32>,
+        mut f: impl FnMut(usize, &[f32]),
+    ) {
+        // Interleave the rows: element `e` of lane `l` sits at `e·R + l`.
+        let d = rows.len() / R;
+        let src = grow(a, d * R);
+        for (l, row) in rows.chunks_exact(d).enumerate() {
+            for (e, &x) in row.iter().enumerate() {
+                src[e * R + l] = x;
+            }
+        }
+        let mut len = d;
+        for (mode, factor) in self.factors.iter().enumerate() {
+            let outer: usize = self.factors[..mode].iter().map(Matrix::rows).product();
+            let inner: usize = self.factors[mode + 1..].iter().map(Matrix::cols).product();
+            let out_len = outer * factor.rows() * inner;
+            contract_block::<R>(&a[..len * R], grow(b, out_len * R), factor, inner);
+            std::mem::swap(a, b);
+            len = out_len;
+        }
+        // De-interleave into row-major images.
+        let images = grow(b, len * R);
+        for (e, lanes) in a[..len * R].chunks_exact(R).enumerate() {
+            for (l, &y) in lanes.iter().enumerate() {
+                images[l * len + e] = y;
+            }
+        }
+        for (l, image) in images.chunks_exact(len).enumerate() {
+            f(l, image);
+        }
     }
 
     /// Materializes the dense `output_dim × input_dim` matrix
@@ -202,29 +278,38 @@ pub fn kron(a: &Matrix, b: &Matrix) -> Matrix {
     })
 }
 
-/// Contracts tensor mode `mode` of `data` (shape `dims`) with `factor`
-/// (`r × c`, where `dims[mode] == c`), producing the tensor with
-/// `dims[mode] -> r` in row-major order.
-fn contract_mode(data: &[f32], dims: &[usize], mode: usize, factor: &Matrix) -> Vec<f32> {
-    let c = dims[mode];
-    debug_assert_eq!(factor.cols(), c);
-    let r = factor.rows();
-    let outer: usize = dims[..mode].iter().product();
-    let inner: usize = dims[mode + 1..].iter().product();
-    let mut out = vec![0.0f32; outer * r * inner];
-    for o in 0..outer {
-        for ir in 0..r {
-            let frow = factor.row(ir);
-            for ii in 0..inner {
-                let mut acc = 0.0f64;
-                for (j, &f) in frow.iter().enumerate() {
-                    acc += f64::from(f) * f64::from(data[(o * c + j) * inner + ii]);
+/// The first `len` values of `buf`, grown (never shrunk) to hold them.
+fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Contracts one mode of `R` interleaved lanes: `src` holds the tensor
+/// `outer × c × inner`, lanes innermost, and `dst` receives
+/// `outer × r × inner` for the `r × c` `factor`. Each output element of each
+/// lane is one `f64` chain over `j` in factor-row order, started at `+0.0`,
+/// rounded once to `f32`; the lanes only share the factor weight.
+fn contract_block<const R: usize>(src: &[f32], dst: &mut [f32], factor: &Matrix, inner: usize) {
+    let (r, c) = (factor.rows(), factor.cols());
+    for (src_o, dst_o) in src.chunks_exact(c * inner * R).zip(dst.chunks_exact_mut(r * inner * R)) {
+        for (weights, dst_i) in factor.iter_rows().zip(dst_o.chunks_exact_mut(inner * R)) {
+            for (ii, out) in dst_i.chunks_exact_mut(R).enumerate() {
+                let mut acc = [0.0f64; R];
+                for (j, &w) in weights.iter().enumerate() {
+                    let w = f64::from(w);
+                    let x = &src_o[(j * inner + ii) * R..][..R];
+                    for (sum, &x) in acc.iter_mut().zip(x) {
+                        *sum += w * f64::from(x);
+                    }
                 }
-                out[(o * r + ir) * inner + ii] = acc as f32;
+                for (y, sum) in out.iter_mut().zip(acc) {
+                    *y = sum as f32;
+                }
             }
         }
     }
-    out
 }
 
 /// Returns `s` such that `s^m == n`, if it exists.
@@ -335,18 +420,6 @@ mod tests {
         let x = rng.normal_vec(64);
         let y = t.apply(&x);
         assert!((ops::norm(&y) - ops::norm(&x)).abs() < 1e-4);
-    }
-
-    #[test]
-    fn apply_rows_matches_apply() {
-        let mut rng = SeededRng::new(37);
-        let t = KroneckerFactors::two_way_square(16, &mut rng);
-        let m = random_matrix(5, 16, &mut rng);
-        let all = t.apply_rows(&m);
-        for r in 0..5 {
-            let single = t.apply(m.row(r));
-            assert_eq!(all.row(r), single.as_slice());
-        }
     }
 
     #[test]

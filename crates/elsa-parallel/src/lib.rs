@@ -79,11 +79,12 @@ pub use std::thread::Scope;
 /// Work is counted in units of about one multiply-add of the packed `f64`
 /// matmul kernel (0.3 ns on the 2-core reference host). Every call site
 /// weights its item count by what one item costs in those units, measured
-/// on that host: an `f64` exp about 32; one SRP projection multiply about
-/// 16 (Kronecker) or 7 (dense); one candidate-scan step about 20; one
-/// element of an interleaved candidate dot or axpy about 2, of a serial
-/// `ops::dot` about 4; one `f32` scale multiply about 1; and one n²·d term
-/// of a serving request's simulation about 6.
+/// on that host: an `f64` exp about 32; one Kronecker projection multiply
+/// of the block hashing kernel about 3 (a dense projection is a matmul);
+/// one candidate-scan step about 20; one element of an interleaved
+/// candidate dot or axpy about 2, of a serial `ops::dot` about 4; one `f32`
+/// scale multiply about 1; and one n²·d term of a serving request's
+/// simulation about 6.
 ///
 /// On that host a four-worker fan-out (scoped spawns and joins) costs about
 /// 170 µs, so work of `2^21` units (about 0.6 ms serial) is where four

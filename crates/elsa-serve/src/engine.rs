@@ -31,9 +31,12 @@
 //! one function, `dispatch_one`.
 //!
 //! Precompute stays outside the engine in [`prepare_entries`] /
-//! [`prepare_turns`]: the only parallel stage, fanned out in arrival order
-//! under an `elsa_parallel` work gate, so reports are bit-identical at any
-//! `ELSA_THREADS` no matter how many engines share the prepared slice.
+//! [`prepare_turns`]: the only parallel stage, fanned out under an
+//! `elsa_parallel` work gate over requests (or, for session turns, over
+//! sessions) and returned in arrival order, so reports are bit-identical at
+//! any `ELSA_THREADS` no matter how many engines share the prepared slice.
+
+use std::collections::BTreeMap;
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
@@ -43,6 +46,7 @@ use elsa_runtime::RuntimeError;
 use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
 use elsa_workloads::sessions::turn_inputs;
+use elsa_workloads::trace::TraceEntry;
 
 use crate::arrival::ArrivalRequest;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
@@ -125,39 +129,76 @@ pub fn prepare_entries(
 }
 
 /// Precomputes every turn of a session trace: full-cost and cache-hit
-/// service seconds per turn, under the same parallel gate as
-/// [`prepare_entries`].
+/// service seconds per turn.
+///
+/// A session's turns all slice one context, so the context is materialized
+/// once per session rather than once per turn. The turns are grouped by
+/// session, sessions in order of their first arrival, and the sessions fan
+/// out under the same parallel gate as [`prepare_entries`]. A worker
+/// materializes one session's context, runs its turns in arrival order on
+/// slices of it, and drops it before the next session, so one context per
+/// worker is alive at a time. A turn whose entry differs from the context
+/// in hand materializes its own. Every turn's result is the per-turn
+/// computation's, bit for bit, and results come back in turn order, so they
+/// are identical at any `ELSA_THREADS`.
 ///
 /// # Errors
 ///
-/// Returns [`RuntimeError::Request`] for the first turn that does not fit
-/// the hardware.
+/// Returns [`RuntimeError::Request`] for the first turn, in turn order,
+/// that does not fit the hardware.
 pub fn prepare_turns(
     accel: &ElsaAccelerator,
     accel_config: &AcceleratorConfig,
     turns: &[SessionTurnRequest],
 ) -> Result<Vec<PreparedRequest>, RuntimeError> {
-    let run_one = |i: usize| -> Result<PreparedRequest, FitError> {
-        let request = &turns[i];
-        let full = request.entry.materialize();
-        let inputs = turn_inputs(&full, request.prefix_len, request.appended);
-        let run = accel.try_run(&inputs)?;
-        let hit_cycles = run.cycles.total() - run.cycles.preprocessing
-            + accel_config.preprocessing_cycles(request.appended);
-        Ok(PreparedRequest {
-            service_s: run.cycles.seconds(accel_config),
-            hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
-            trips: guard_trips(&run),
-            inputs,
-        })
+    let mut slot_of: BTreeMap<u64, usize> = BTreeMap::new();
+    let mut sessions: Vec<Vec<usize>> = Vec::new();
+    for (i, turn) in turns.iter().enumerate() {
+        let slot = *slot_of.entry(turn.session).or_insert_with(|| {
+            sessions.push(Vec::new());
+            sessions.len() - 1
+        });
+        sessions[slot].push(i);
+    }
+    let run_session = |s: usize| -> Vec<Result<PreparedRequest, FitError>> {
+        let mut context: Option<(TraceEntry, AttentionInputs)> = None;
+        let mut runs = Vec::with_capacity(sessions[s].len());
+        for &i in &sessions[s] {
+            let request = &turns[i];
+            let full = match context {
+                Some((entry, ref full)) if entry == request.entry => full,
+                _ => &context.insert((request.entry, request.entry.materialize())).1,
+            };
+            let inputs = turn_inputs(full, request.prefix_len, request.appended);
+            runs.push(accel.try_run(&inputs).map(|run| {
+                let hit_cycles = run.cycles.total() - run.cycles.preprocessing
+                    + accel_config.preprocessing_cycles(request.appended);
+                PreparedRequest {
+                    service_s: run.cycles.seconds(accel_config),
+                    hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
+                    trips: guard_trips(&run),
+                    inputs,
+                }
+            }));
+        }
+        runs
     };
     let work =
         precompute_work(turns.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)));
-    collect_prepared(if elsa_parallel::beneficial(work) && turns.len() > 1 {
-        elsa_parallel::par_map_indexed(turns.len(), run_one)
+    let per_session = if elsa_parallel::beneficial(work) && sessions.len() > 1 {
+        elsa_parallel::par_map_indexed(sessions.len(), run_session)
     } else {
-        (0..turns.len()).map(run_one).collect()
-    })
+        (0..sessions.len()).map(run_session).collect()
+    };
+    // Back to turn order: every turn belongs to exactly one session.
+    let mut runs: Vec<Option<Result<PreparedRequest, FitError>>> =
+        std::iter::repeat_with(|| None).take(turns.len()).collect();
+    for (indices, results) in sessions.iter().zip(per_session) {
+        for (&i, run) in indices.iter().zip(results) {
+            runs[i] = Some(run);
+        }
+    }
+    collect_prepared(runs.into_iter().flatten().collect())
 }
 
 /// Builds the admission entries of a plain trace: each request routes to
@@ -194,7 +235,7 @@ pub fn session_admissions(
     batch: &BatchPolicy,
     turns: &[SessionTurnRequest],
 ) -> Vec<QueuedRequest> {
-    let mut affinity: std::collections::BTreeMap<u64, usize> = std::collections::BTreeMap::new();
+    let mut affinity: BTreeMap<u64, usize> = BTreeMap::new();
     turns
         .iter()
         .map(|request| {
@@ -698,10 +739,120 @@ impl<'a> NodeEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::{SessionArrivalConfig, SessionTrace};
     use elsa_core::attention::{ElsaAttention, ElsaParams};
     use elsa_fault::inject::corrupt_report;
     use elsa_fault::{CorruptionKind, FaultRates};
     use elsa_linalg::SeededRng;
+    use elsa_workloads::{DatasetKind, ModelKind, Workload};
+
+    fn session_workload() -> Workload {
+        Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M }
+    }
+
+    /// An accelerator with room for `n_max` keys, its operator learned on
+    /// one held-out invocation.
+    fn session_accelerator(n_max: usize) -> (ElsaAccelerator, AcceleratorConfig) {
+        let mut rng = SeededRng::new(31);
+        let train = session_workload().generate_batch(1, &mut rng);
+        let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(32));
+        let config = AcceleratorConfig { n_max, num_accelerators: 4, ..AcceleratorConfig::paper() };
+        (ElsaAccelerator::new(config, ElsaAttention::learn(params, &train, 1.0)), config)
+    }
+
+    /// A trace of `sessions` sessions of up to four turns whose turns
+    /// interleave.
+    fn interleaved_trace(sessions: usize) -> SessionTrace {
+        let config = SessionArrivalConfig {
+            lambda_per_s: 5_000.0,
+            sessions,
+            slo_ns: None,
+            max_decode_turns: Some(3),
+        };
+        let trace = SessionTrace::generate(&session_workload(), &config, &mut SeededRng::new(33));
+        let first = trace.requests[0].session;
+        let mut rest = trace.requests.iter().skip_while(|t| t.session == first);
+        let back = rest.any(|t| t.session == first);
+        assert!(back, "the first session's turns interleave with the others'");
+        trace
+    }
+
+    /// The per-turn precompute that `prepare_turns` replaced: every turn
+    /// materializes its own context.
+    fn per_turn_reference(
+        accel: &ElsaAccelerator,
+        accel_config: &AcceleratorConfig,
+        turns: &[SessionTurnRequest],
+    ) -> Result<Vec<PreparedRequest>, RuntimeError> {
+        let runs = turns
+            .iter()
+            .map(|request| {
+                let full = request.entry.materialize();
+                let inputs = turn_inputs(&full, request.prefix_len, request.appended);
+                let run = accel.try_run(&inputs)?;
+                let hit_cycles = run.cycles.total() - run.cycles.preprocessing
+                    + accel_config.preprocessing_cycles(request.appended);
+                Ok(PreparedRequest {
+                    service_s: run.cycles.seconds(accel_config),
+                    hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
+                    trips: guard_trips(&run),
+                    inputs,
+                })
+            })
+            .collect();
+        collect_prepared(runs)
+    }
+
+    #[test]
+    fn grouped_precompute_matches_the_per_turn_reference() {
+        let trace = interleaved_trace(6);
+        let (accel, config) = session_accelerator(200);
+        let want = per_turn_reference(&accel, &config, &trace.requests).expect("every turn fits");
+        for workers in [1, 4] {
+            let got = elsa_parallel::with_threads(workers, || {
+                prepare_turns(&accel, &config, &trace.requests)
+            })
+            .expect("every turn fits");
+            assert_eq!(got.len(), want.len());
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g.inputs, w.inputs, "turn {i}, {workers} workers");
+                assert_eq!(g.trips, w.trips, "turn {i}, {workers} workers");
+                assert_eq!(g.service_s.to_bits(), w.service_s.to_bits(), "turn {i}");
+                assert_eq!(g.hit_service_s.to_bits(), w.hit_service_s.to_bits(), "turn {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_precompute_reports_the_first_misfit_in_turn_order() {
+        let n_max = 200;
+        let mut turns = interleaved_trace(6).requests;
+        // Two misfits: the last turn of the first session to arrive, and
+        // an earlier turn of another session. Walking the sessions in order
+        // meets the first one first; turn order puts the second one first.
+        let first_session = turns[0].session;
+        let late = turns.iter().rposition(|t| t.session == first_session).expect("a turn");
+        let early = turns[..late]
+            .iter()
+            .position(|t| t.session != first_session)
+            .expect("the sessions interleave");
+        for misfit in [late, early] {
+            let session = turns[misfit].session;
+            for t in turns.iter_mut().filter(|t| t.session == session) {
+                t.entry.pattern.n_real = n_max + 1;
+                t.entry.pattern.n_queries = n_max + 1;
+            }
+            turns[misfit].prefix_len = n_max + 1;
+        }
+        let (accel, config) = session_accelerator(n_max);
+        let want = per_turn_reference(&accel, &config, &turns).expect_err("two turns misfit");
+        assert!(matches!(want, RuntimeError::Request { index, .. } if index == early), "{want:?}");
+        for workers in [1, 4] {
+            let got =
+                elsa_parallel::with_threads(workers, || prepare_turns(&accel, &config, &turns));
+            assert_eq!(got.expect_err("two turns misfit"), want, "{workers} workers");
+        }
+    }
 
     /// The engine degrades on `plan.corruption(..).is_some()` without
     /// poisoning the result, trusting that injected corruption of any kind

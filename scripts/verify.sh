@@ -89,6 +89,19 @@ echo "==> matmul kernel oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --release --offline -p elsa-linalg --lib kernel_oracle
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --release --offline -p elsa-linalg --lib kernel_oracle
 
+echo "==> hash oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
+# SRP hashing runs block kernels: the Kronecker kernel contracts each mode
+# for a block of rows at once, and a dense projection hashes many rows as
+# one X·Mᵀ product. Both promise the bits of the per-row loops they
+# replaced: projected values (sign of zero included; NaN by NaN-ness) and
+# signature words, for every backend shape, row counts around a block, and
+# IEEE corner rows. Run optimized under a pinned seed at both thread
+# counts; the suite's cases above the fan-out gate check the fanned-out
+# hashing under ELSA_THREADS=4.
+for threads in 1 4; do
+  ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline --test hash_oracle
+done
+
 echo "==> candidate path oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
 # Candidate selection (one scan over the flat signature store, branch-free
 # compaction, fallback rescan) and the shared candidate-row kernel

@@ -57,15 +57,34 @@ fn multihead_work(n: usize, heads: usize, d_head: usize) -> usize {
     heads * 3 * n * (heads * d_head) * d_head
 }
 
-/// `SrpHasher::hash_rows`' hint: 16 units per projection multiply.
+/// `SrpHasher::hash_rows`' hint: 3 units per Kronecker projection multiply,
+/// or, for a dense projection, the `X·Mᵀ` product's own.
 fn hash_work(rows: usize, hasher: &SrpHasher) -> usize {
-    rows * hasher.multiplication_count() * 16
+    match hasher.kronecker_factors() {
+        Some(_) => rows * hasher.multiplication_count() * 3,
+        None => matmul_work(rows, hasher.dim(), hasher.k()),
+    }
 }
 
-/// `ElsaAttention::candidates`' hint: per query one hash plus 20 units per
-/// scanned key.
-fn selection_work(n: usize, elsa: &ElsaAttention) -> usize {
-    n * (elsa.params().hasher().multiplication_count() * 16 + 20 * n)
+/// The fewest rows whose hashing crosses the gate.
+fn hash_gate_rows(hasher: &SrpHasher) -> usize {
+    MIN_PARALLEL_WORK.div_ceil(hash_work(1, hasher))
+}
+
+/// The two hashers the hashing properties draw from: the hardware's
+/// three-way Kronecker projection and a dense one, both 64 × 64.
+fn hasher(kronecker: bool, rng: &mut SeededRng) -> SrpHasher {
+    if kronecker {
+        SrpHasher::kronecker_three_way(64, rng)
+    } else {
+        SrpHasher::dense(64, 64, rng)
+    }
+}
+
+/// `ElsaAttention::candidates`' per-query hint: 20 units per scanned key
+/// (queries are hashed before, in one call).
+fn selection_work(n: usize) -> usize {
+    n * 20 * n
 }
 
 /// `exact::attention_with_candidates`' hint: two units per element of each
@@ -124,16 +143,18 @@ fn multihead_forward_fixed_case_fans_out() {
 
 #[test]
 fn hash_signatures_fixed_case_fans_out() {
-    let rows = 48;
     let mut rng = SeededRng::new(5);
-    let hasher = SrpHasher::dense(64, 64, &mut rng);
-    let m = random_matrix(rows, 64, &mut rng);
-    assert_fans_out_and_matches(hash_work(rows, &hasher), || hasher.hash_rows(&m));
+    for kronecker in [true, false] {
+        let hasher = hasher(kronecker, &mut rng);
+        let rows = hash_gate_rows(&hasher) + 3;
+        let m = random_matrix(rows, 64, &mut rng);
+        assert_fans_out_and_matches(hash_work(rows, &hasher), || hasher.hash_rows(&m));
+    }
 }
 
 #[test]
 fn elsa_forward_fixed_case_fans_out() {
-    let n = 176;
+    let n = 330;
     let mut rng = SeededRng::new(6);
     let inputs = AttentionInputs::new(
         random_matrix(n, 64, &mut rng),
@@ -141,11 +162,11 @@ fn elsa_forward_fixed_case_fans_out() {
         random_matrix(n, 64, &mut rng),
     );
     let elsa = ElsaAttention::with_threshold(ElsaParams::for_dims(64, 64, &mut rng), 0.1);
-    // Key hashing and the candidate rows fan out too.
+    // The candidate rows fan out too. Hashing 330 rows stays below the gate;
+    // the hashing tests above fan it out.
     let (_, stats) = elsa.forward(&inputs);
-    assert!(crosses_gate(hash_work(n, elsa.params().hasher())));
     assert!(crosses_gate(candidate_attention_work(stats.selected_pairs, 64, 64)), "{stats:?}");
-    assert_fans_out_and_matches(selection_work(n, &elsa), || {
+    assert_fans_out_and_matches(selection_work(n), || {
         let (out, stats) = elsa.forward(&inputs);
         (bits(&out), stats)
     });
@@ -228,13 +249,15 @@ props! {
     }
 
     fn hash_signatures_equal_across_worker_counts(
-        rows in ints(32, 96),
+        kronecker in bools(),
+        extra_rows in ints(0, 64),
         widx in ints(1, 4),
     ) {
-        let mut rng = SeededRng::new(rows as u64);
-        // Dense 64x64: 4096 projection multiplies per row, so 32+ rows
-        // cross the gate.
-        let hasher = SrpHasher::dense(64, 64, &mut rng);
+        let mut rng = SeededRng::new(extra_rows as u64);
+        let hasher = hasher(kronecker, &mut rng);
+        // The fewest rows that cross the gate (about 910 Kronecker or 512
+        // dense rows), plus a few.
+        let rows = hash_gate_rows(&hasher) + extra_rows;
         prop_assert!(crosses_gate(hash_work(rows, &hasher)));
         let m = random_matrix(rows, 64, &mut rng);
         let serial = with_threads(1, || hasher.hash_rows(&m));
@@ -243,7 +266,7 @@ props! {
     }
 
     fn elsa_forward_bits_and_stats_equal_across_worker_counts(
-        n in ints(176, 216),
+        n in ints(324, 364),
         widx in ints(1, 4),
     ) {
         let mut rng = SeededRng::new(n as u64);
@@ -255,9 +278,9 @@ props! {
         let mut prng = SeededRng::new(n as u64 + 1);
         let elsa = ElsaAttention::with_threshold(ElsaParams::for_dims(64, 64, &mut prng), 0.1);
         let (serial_out, serial_stats) = with_threads(1, || elsa.forward(&inputs));
-        // Key hashing, selection and the candidate rows all fan out.
-        prop_assert!(crosses_gate(hash_work(n, elsa.params().hasher())));
-        prop_assert!(crosses_gate(selection_work(n, &elsa)));
+        // Selection and the candidate rows fan out; hashing this few rows
+        // does not (the hashing property covers it).
+        prop_assert!(crosses_gate(selection_work(n)));
         prop_assert!(crosses_gate(candidate_attention_work(serial_stats.selected_pairs, 64, 64)));
         let (par_out, par_stats) =
             with_threads(WORKER_COUNTS[widx], || elsa.forward(&inputs));
