@@ -4,9 +4,10 @@
 //! The model combines the tiled online-softmax dataflow (Dao et al. 2022)
 //! with the hardware operators of the post-ELSA accelerator literature:
 //! H-FA's log-domain accumulation and Low-Cost FlashAttention's fused
-//! exponential-multiply units (see `PAPERS.md`; the functional units are
-//! modeled in `elsa_numeric::fused`, the software-exact kernel in
-//! `elsa_attention::flash`). It is held **iso-compute with ELSA and the
+//! exponential-multiply units (see `PAPERS.md`). It is an analytic cost
+//! model: those units enter only as lane counts and per-cycle throughput,
+//! never as bit-level functional models. The software-exact kernel is
+//! `elsa_attention::flash`. It is held **iso-compute with ELSA and the
 //! ideal accelerator**: the same 528 multipliers at 1 GHz, twelve replicated
 //! units — so any speedup it shows over the naive baseline is architectural
 //! (no score-matrix spill), never a bigger-chip artifact.

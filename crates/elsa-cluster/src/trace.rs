@@ -1,17 +1,17 @@
 //! Fleet-scale traces: mixed-workload session streams.
 //!
 //! A cluster front-end does not see one workload — it sees the weighted
-//! traffic mix of everything the fleet hosts. [`fleet_sessions`] mirrors
-//! [`SessionTrace::generate`](elsa_serve::SessionTrace::generate) but draws
+//! traffic mix of everything the fleet hosts. [`fleet_sessions`] draws
 //! each session's *workload* from a [`FleetMix`] before sampling its shape,
-//! so recommendation sessions (short contexts, many of them) interleave
-//! with long NLP invocations in one replayable arrival stream. The output
-//! is an ordinary [`SessionTrace`], so every single-node tool (and the
-//! cluster itself) consumes it unchanged.
+//! then shares [`SessionTrace::interleave`] with
+//! [`SessionTrace::generate`](elsa_serve::SessionTrace::generate), so
+//! recommendation sessions (short contexts, many of them) interleave with
+//! long NLP invocations in one replayable arrival stream. The output is an
+//! ordinary [`SessionTrace`], so every single-node tool (and the cluster
+//! itself) consumes it unchanged.
 
 use elsa_linalg::SeededRng;
-use elsa_serve::clock::secs_to_ns;
-use elsa_serve::{SessionArrivalConfig, SessionTrace, SessionTurnRequest};
+use elsa_serve::{SessionArrivalConfig, SessionTrace};
 use elsa_workloads::sessions::SessionSpec;
 use elsa_workloads::FleetMix;
 
@@ -24,8 +24,9 @@ const STREAM_PICKS: u64 = 0xC105_0013;
 
 /// Generates a mixed-workload session trace: `config.sessions` sessions,
 /// each drawing its workload from `mix` and its shape from that workload's
-/// length distribution, interleaved under Poisson arrivals exactly like the
-/// single-workload generator. Fully replayable from `rng`'s state.
+/// length distribution, interleaved under Poisson arrivals by
+/// [`SessionTrace::interleave`], the single-workload generator's own
+/// interleaver. Fully replayable from `rng`'s state.
 ///
 /// # Panics
 ///
@@ -36,11 +37,6 @@ pub fn fleet_sessions(
     config: &SessionArrivalConfig,
     rng: &mut SeededRng,
 ) -> SessionTrace {
-    assert!(
-        config.lambda_per_s > 0.0 && config.lambda_per_s.is_finite(),
-        "offered load must be positive, got {}",
-        config.lambda_per_s
-    );
     // Independent streams: shapes must not shift when λ or the pick
     // sequence changes (same convention as the single-workload generator).
     let mut shape_rng = rng.fork(STREAM_SHAPES);
@@ -54,46 +50,7 @@ pub fn fleet_sessions(
             SessionSpec { session: i as u64, entry, prompt_len }
         })
         .collect();
-    let schedules: Vec<Vec<elsa_workloads::SessionTurn>> = specs
-        .iter()
-        .map(|s| {
-            let mut turns = s.turns();
-            if let Some(m) = config.max_decode_turns {
-                turns.truncate(1 + m);
-            }
-            turns
-        })
-        .collect();
-    let mut alive: Vec<usize> = (0..specs.len()).filter(|&s| !schedules[s].is_empty()).collect();
-    let mut next_turn = vec![0usize; specs.len()];
-    let mut t_ns = 0u64;
-    let mut requests = Vec::new();
-    while !alive.is_empty() {
-        // Exponential inter-arrival: -ln(1-U)/rate, U ∈ [0, 1).
-        let dt_s = -(1.0 - time_rng.uniform()).ln() / config.lambda_per_s;
-        t_ns = t_ns.saturating_add(secs_to_ns(dt_s));
-        let slot = pick_rng.index(alive.len());
-        let s = alive[slot];
-        let turn = schedules[s][next_turn[s]];
-        next_turn[s] += 1;
-        let last_turn = next_turn[s] == schedules[s].len();
-        if last_turn {
-            // `Vec::remove` keeps the remaining order stable, so the pick
-            // stream replays identically.
-            alive.remove(slot);
-        }
-        requests.push(SessionTurnRequest {
-            id: requests.len(),
-            arrival_ns: t_ns,
-            deadline_ns: config.slo_ns.map(|slo| t_ns.saturating_add(slo)),
-            session: specs[s].session,
-            prefix_len: turn.prefix_len,
-            appended: turn.appended,
-            last_turn,
-            entry: specs[s].entry,
-        });
-    }
-    SessionTrace { requests }
+    SessionTrace::interleave(&specs, config, &mut time_rng, &mut pick_rng)
 }
 
 #[cfg(test)]

@@ -24,11 +24,6 @@
 //! * [`CosLut`] — the `k+1`-entry `cos(π/k·h − θ_bias)` table used by the
 //!   candidate selection modules (§IV-C).
 //!
-//! The [`fused`] module adds the functional units of the FlashAttention-class
-//! streaming competitor (`elsa-baselines::FlashModel`): [`ExpMultUnit`], a
-//! fused exponential-multiply with a single output rounding, and
-//! [`LogDomainAdder`], the H-FA log-domain accumulator.
-//!
 //! Everything in this crate is deterministic and allocation-free (after unit
 //! construction) so that the cycle-level simulator in `elsa-sim` can call it in
 //! its inner loop.
@@ -54,13 +49,11 @@
 pub mod adder_tree;
 pub mod cfloat;
 pub mod fixed;
-pub mod fused;
 pub mod guard;
 pub mod lut;
 
 pub use adder_tree::AdderTree;
 pub use cfloat::CustomFloat;
 pub use fixed::{Fixed, FixedSpec, HashFixed, QkvFixed};
-pub use fused::{ExpMultUnit, LogDomainAdder};
 pub use guard::{ensure_finite, NumericFault, SaturationCounter};
 pub use lut::{CosLut, ExpUnit, ReciprocalUnit, SqrtUnit};

@@ -127,41 +127,6 @@ impl ArrivalTrace {
         Self { requests }
     }
 
-    /// Wraps a recorded offline trace in arrival times drawn at rate λ
-    /// (same timing model as [`ArrivalTrace::generate`], shapes taken
-    /// verbatim from `trace`).
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`ArrivalTrace::generate`].
-    #[must_use]
-    pub fn over_trace(trace: &WorkloadTrace, config: &ArrivalConfig, rng: &mut SeededRng) -> Self {
-        assert!(
-            config.lambda_per_s > 0.0 && config.lambda_per_s.is_finite(),
-            "offered load must be positive, got {}",
-            config.lambda_per_s
-        );
-        let mut time_rng = rng.fork(0x5EAE_0002);
-        let mut t_ns = 0u64;
-        let requests = trace
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(id, &entry)| {
-                let rate = config.lambda_per_s * burst_multiplier_at(t_ns, config.burst);
-                let dt_s = -(1.0 - time_rng.uniform()).ln() / rate;
-                t_ns = t_ns.saturating_add(secs_to_ns(dt_s));
-                ArrivalRequest {
-                    id,
-                    arrival_ns: t_ns,
-                    deadline_ns: config.slo_ns.map(|slo| t_ns.saturating_add(slo)),
-                    entry,
-                }
-            })
-            .collect();
-        Self { requests }
-    }
-
     /// Every entry of a recorded trace arriving simultaneously at t = 0
     /// with no deadlines — batch serving: under
     /// [`ServeConfig::immediate`](crate::ServeConfig::immediate) the
@@ -297,20 +262,6 @@ mod tests {
         // Shapes identical regardless of bursts.
         for (a, b) in bursty.requests.iter().zip(&calm.requests) {
             assert_eq!(a.entry, b.entry);
-        }
-    }
-
-    #[test]
-    fn over_trace_preserves_entries() {
-        let recorded = WorkloadTrace::record(&workload(), 12, &mut SeededRng::new(6));
-        let online = ArrivalTrace::over_trace(
-            &recorded,
-            &ArrivalConfig::poisson(1000.0, 0),
-            &mut SeededRng::new(7),
-        );
-        assert_eq!(online.len(), 12);
-        for (arr, rec) in online.requests.iter().zip(&recorded.entries) {
-            assert_eq!(&arr.entry, rec);
         }
     }
 

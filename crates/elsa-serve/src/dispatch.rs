@@ -1,15 +1,20 @@
 //! The serving event loop: admission → batching → SLO-aware dispatch.
 //!
-//! [`OnlineServer::serve`] replays an [`ArrivalTrace`] through the full
-//! online pipeline on the virtual clock:
+//! [`OnlineServer`] has one request path. [`OnlineServer::serve_sessions`]
+//! replays a [`SessionTrace`] through the full online pipeline on the
+//! virtual clock. [`OnlineServer::serve`] replays an [`ArrivalTrace`] as
+//! single-turn sessions ([`SessionTrace::single_turn`]) with no decode
+//! cache: as in the paper's host interface, each request is one whole
+//! self-attention invocation. Either way the pipeline is:
 //!
-//! 1. **Precompute** (the only parallel stage): every request's approximate
-//!    pipeline runs once — service seconds, numeric-guard verdict, inputs —
-//!    fanned out over worker threads in arrival order, so the report is
-//!    bit-identical at any `ELSA_THREADS`.
+//! 1. **Precompute** (the only parallel stage): [`prepare_turns`] runs
+//!    every turn's approximate pipeline once — service seconds,
+//!    numeric-guard verdict, inputs — fanned out over worker threads and
+//!    returned in arrival order, so the report is bit-identical at any
+//!    `ELSA_THREADS`.
 //! 2. **Admission**: arrivals enter the bounded
-//!    [`AdmissionQueue`]; a full queue triggers the configured
-//!    [`Backpressure`] policy.
+//!    [`AdmissionQueue`](crate::queue::AdmissionQueue); a full queue
+//!    triggers the configured [`Backpressure`] policy.
 //! 3. **Batching**: a length bucket dispatches when it holds
 //!    `max_batch` requests or its oldest waiter has queued `max_wait_ns`.
 //! 4. **Dispatch**: each batch member routes to the accelerator unit that
@@ -28,20 +33,19 @@
 //! `offered = served + shed + timed-out + failed` holds by construction
 //! (and is asserted).
 //!
-//! [`OnlineServer::serve_sessions`] replays a multi-turn [`SessionTrace`]
-//! through the *same* engine with two additions: **session affinity** (every
-//! turn of a session dispatches through the bucket pinned at the session's
-//! first admission, so one conversation never straddles batching queues)
-//! and the **decode cache** (a [`SessionRegistry`] deciding per turn whether
-//! the incremental `StreamingSession` state is resident — a hit pays only
-//! the appended tokens' preprocessing cycles, a miss pays the full
-//! from-scratch rebuild). The cache changes *charged service time only*;
-//! functional outputs are byte-identical either way, which is what keeps
-//! the degenerate single-turn/unbounded configuration bit-identical to
-//! [`OnlineServer::serve`].
+//! Multi-turn traces use two more pieces of the same engine: **session
+//! affinity** (every turn of a session dispatches through the bucket pinned
+//! at the session's first admission, so one conversation never straddles
+//! batching queues) and the **decode cache** (a [`SessionRegistry`]
+//! deciding per turn whether the incremental `StreamingSession` state is
+//! resident — a hit pays only the appended tokens' preprocessing cycles, a
+//! miss pays the full from-scratch rebuild). A single-turn session has
+//! nothing to reuse, so neither changes anything for a plain trace. The
+//! cache changes *charged service time only*; functional outputs are
+//! byte-identical either way.
 
 use elsa_core::ElsaAttention;
-use elsa_fault::{FaultPlan, HealthTracker};
+use elsa_fault::FaultPlan;
 use elsa_linalg::ops;
 use elsa_linalg::reduce::sum_f64;
 use elsa_runtime::RuntimeError;
@@ -50,11 +54,8 @@ use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
-use crate::engine::{
-    entry_admissions, prepare_entries, prepare_turns, session_admissions, unit_health,
-    NodeEngine, PreparedRequest, SessionBook,
-};
-use crate::queue::{Backpressure, QueuedRequest};
+use crate::engine::{prepare_turns, session_admissions, unit_health, NodeEngine, SessionBook};
+use crate::queue::Backpressure;
 use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTrace};
 
 /// Full configuration of the online pipeline.
@@ -384,14 +385,15 @@ impl OnlineServer {
         &self.plan
     }
 
-    /// Replays an arrival trace through the pipeline.
+    /// Replays an arrival trace through the pipeline: each request is
+    /// served as a single-turn session (the whole invocation in one turn)
+    /// with no decode cache.
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Request`] when a request does not fit the
-    /// hardware (the trace is rejected before any virtual time passes), or
-    /// [`RuntimeError::NoHealthyUnits`] when the fault plan killed every
-    /// unit.
+    /// Returns [`RuntimeError::NoHealthyUnits`] when the fault plan killed
+    /// every unit, or [`RuntimeError::Request`] when a request does not fit
+    /// the hardware (the trace is rejected before any virtual time passes).
     ///
     /// # Panics
     ///
@@ -399,26 +401,7 @@ impl OnlineServer {
     /// arrival-order indices (both are guaranteed by every
     /// [`ArrivalTrace`] constructor).
     pub fn serve(&self, trace: &ArrivalTrace) -> Result<ServeReport, RuntimeError> {
-        let reqs = &trace.requests;
-        assert!(
-            reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
-            "arrival trace must be sorted by arrival time"
-        );
-        assert!(
-            trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
-            "arrival trace ids must be arrival-order indices"
-        );
-        let health = self.healthy_pool()?;
-
-        // Thread-independent precompute, fanned out in arrival order: the
-        // serial event loop below never touches the simulator except for
-        // padded-timing runs and the degraded path's base-cycle charge,
-        // which are themselves deterministic functions of the precomputed
-        // state.
-        let prepared = prepare_entries(&self.accel, self.accel.config(), &trace.requests)?;
-        let admissions = entry_admissions(&self.config.batch, &trace.requests, &prepared);
-        let (records, bucket_stats, _) = self.run_engine(health, &prepared, &admissions, None);
-        Ok(ServeReport { records, bucket_stats })
+        self.replay(&SessionTrace::single_turn(trace), None).map(|(report, _)| report)
     }
 
     /// Replays a multi-turn session trace through the pipeline with session
@@ -450,90 +433,70 @@ impl OnlineServer {
         trace: &SessionTrace,
         cache: CacheConfig,
     ) -> Result<SessionReport, RuntimeError> {
+        let (serve, stats) = self.replay(trace, Some(cache))?;
+        Ok(SessionReport { serve, cache: stats.unwrap_or_default() })
+    }
+
+    /// The one replay behind [`serve`](Self::serve) and
+    /// [`serve_sessions`](Self::serve_sessions): trace checks, the pool's
+    /// health, the precompute, then the serial virtual-clock event loop on
+    /// one [`NodeEngine`], with a decode cache when `cache` is set.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a malformed trace (see [`serve`](Self::serve)), or if the
+    /// engine leaves any request unaccounted — the exact-accounting
+    /// invariant (`offered = served + shed + timed-out + failed`) that the
+    /// resulting [`ServeReport`] must never paper over.
+    fn replay(
+        &self,
+        trace: &SessionTrace,
+        cache: Option<CacheConfig>,
+    ) -> Result<(ServeReport, Option<CacheStats>), RuntimeError> {
         let reqs = &trace.requests;
         assert!(
             reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
-            "session trace must be sorted by arrival time"
+            "trace must be sorted by arrival time"
         );
         assert!(
-            trace.requests.iter().enumerate().all(|(i, r)| r.id == i),
-            "session trace ids must be arrival-order indices"
+            reqs.iter().enumerate().all(|(i, r)| r.id == i),
+            "trace ids must be arrival-order indices"
         );
-        let health = self.healthy_pool()?;
-        let prepared = prepare_turns(&self.accel, self.accel.config(), &trace.requests)?;
-        let admissions = session_admissions(&self.config.batch, &trace.requests);
-        let hasher = self.accel.operator().params().hasher();
-        let book = SessionBook::new(
-            SessionRegistry::new(cache, hasher.dim(), hasher.k()),
-            &trace.requests,
-        );
-        let (records, bucket_stats, cache_stats) =
-            self.run_engine(health, &prepared, &admissions, Some(book));
-        Ok(SessionReport {
-            serve: ServeReport { records, bucket_stats },
-            cache: cache_stats.unwrap_or_default(),
-        })
-    }
-
-    /// The pool's unit health under the fault plan.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::NoHealthyUnits`] when the plan killed every
-    /// unit.
-    fn healthy_pool(&self) -> Result<HealthTracker, RuntimeError> {
         let units = self.accel.config().num_accelerators;
         let health = unit_health(&self.plan, units, self.config.quarantine_after);
         if health.num_available() == 0 {
             return Err(RuntimeError::NoHealthyUnits);
         }
-        Ok(health)
-    }
-
-    /// The serial virtual-clock event loop shared by [`serve`](Self::serve)
-    /// and [`serve_sessions`](Self::serve_sessions), running on the
-    /// extracted [`NodeEngine`]: admissions must be in arrival order with
-    /// one entry per prepared request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine leaves any request unaccounted — the
-    /// exact-accounting invariant (`offered = served + shed + timed-out +
-    /// failed`) that the resulting [`ServeReport`] must never paper over.
-    fn run_engine(
-        &self,
-        health: HealthTracker,
-        prepared: &[PreparedRequest],
-        admissions: &[QueuedRequest],
-        sessions: Option<SessionBook<'_>>,
-    ) -> (Vec<OnlineRecord>, Vec<BucketStats>, Option<CacheStats>) {
+        let prepared = prepare_turns(&self.accel, self.accel.config(), reqs)?;
         let mut engine = NodeEngine::new(
             &self.accel,
             self.accel.config(),
             self.plan,
             &self.config,
-            prepared,
+            &prepared,
             health,
         );
-        if let Some(book) = sessions {
-            engine = engine.with_sessions(book);
+        if let Some(cache) = cache {
+            let hasher = self.accel.operator().params().hasher();
+            let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
+            engine = engine.with_sessions(SessionBook::new(registry, reqs));
         }
-        for request in admissions {
+        for request in session_admissions(&self.config.batch, reqs) {
             engine.flush_expired(request.arrival_ns);
             engine.advance_to(request.arrival_ns);
-            engine.admit(*request);
+            engine.admit(request);
         }
         engine.flush_expired(u64::MAX);
 
         let parts = engine.into_parts();
-        let records: Vec<OnlineRecord> = parts
+        let records = parts
             .slots
             .into_iter()
             .enumerate()
             // elsa-lint: allow(panic-policy) reason="exact-accounting invariant: every request is finished exactly once; a hole here is a bug the ServeReport must not paper over"
             .map(|(i, slot)| slot.unwrap_or_else(|| panic!("request {i} left unaccounted")))
             .collect();
-        (records, parts.bucket_stats, parts.cache)
+        Ok((ServeReport { records, bucket_stats: parts.bucket_stats }, parts.cache))
     }
 }
 

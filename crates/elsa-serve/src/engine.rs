@@ -4,8 +4,9 @@
 //! [`OnlineServer`](crate::dispatch::OnlineServer), extracted as a public
 //! API so a higher layer (the `elsa-cluster` fleet) can embed one engine
 //! per node and drive admissions itself. The split is exact: the server's
-//! `serve`/`serve_sessions` run on this type unchanged, so a single
-//! externally-driven engine is bit-identical to the in-process server.
+//! one replay (behind both `serve` and `serve_sessions`) runs on this type
+//! unchanged, so a single externally-driven engine is bit-identical to the
+//! in-process server.
 //!
 //! The engine owns everything that happens *after* routing: the bounded
 //! admission queue, length-bucketed batch formation, SLO checks, and the
@@ -25,16 +26,17 @@
 //!   (scale `1.0` is bit-transparent: `x × 1.0 ≡ x` for every finite
 //!   charge, preserving the healthy-path equivalence).
 //!
-//! It is the only dispatcher in the workspace: batch serving is the same
-//! engine on an all-at-t=0 trace under [`ServeConfig::immediate`], so
-//! retry, quarantine, straggler and degradation semantics live in exactly
-//! one function, `dispatch_one`.
+//! It is the only dispatcher in the workspace, and it serves only session
+//! turns: a plain request is a single-turn session, and batch serving is
+//! the same engine on an all-at-t=0 trace under
+//! [`ServeConfig::immediate`], so retry, quarantine, straggler and
+//! degradation semantics live in exactly one function, `dispatch_one`.
 //!
-//! Precompute stays outside the engine in [`prepare_entries`] /
-//! [`prepare_turns`]: the only parallel stage, fanned out under an
-//! `elsa_parallel` work gate over requests (or, for session turns, over
-//! sessions) and returned in arrival order, so reports are bit-identical at
-//! any `ELSA_THREADS` no matter how many engines share the prepared slice.
+//! Precompute stays outside the engine in [`prepare_turns`], the one
+//! precompute of every serving path and its only parallel stage: fanned
+//! out under an `elsa_parallel` work gate over sessions and returned in
+//! arrival order, so reports are bit-identical at any `ELSA_THREADS` no
+//! matter how many engines share the prepared slice.
 
 use std::collections::BTreeMap;
 
@@ -48,7 +50,6 @@ use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
 use elsa_workloads::sessions::turn_inputs;
 use elsa_workloads::trace::TraceEntry;
 
-use crate::arrival::ArrivalRequest;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::{ns_to_secs, VirtualClock};
 use crate::dispatch::{OnlineRecord, Outcome, ServeConfig};
@@ -67,8 +68,8 @@ pub struct PreparedRequest {
     pub service_s: f64,
     /// Service seconds when the session cache holds the expected prefix:
     /// the run's cycles with the full-context preprocessing replaced by
-    /// preprocessing of only the appended tokens. Equal to `service_s`
-    /// outside session serving.
+    /// preprocessing of only the appended tokens. Never charged to a
+    /// session's first turn, so never to a plain (single-turn) request.
     pub hit_service_s: f64,
     /// Whether the numeric guard tripped on the approximate result.
     pub trips: bool,
@@ -99,48 +100,21 @@ fn collect_prepared(
     Ok(prepared)
 }
 
-/// Precomputes every arrival of a plain trace: the one parallel stage,
-/// fanned out in arrival order so results are bit-identical at any
-/// `ELSA_THREADS`.
-///
-/// # Errors
-///
-/// Returns [`RuntimeError::Request`] for the first request that does not
-/// fit the hardware.
-pub fn prepare_entries(
-    accel: &ElsaAccelerator,
-    accel_config: &AcceleratorConfig,
-    requests: &[ArrivalRequest],
-) -> Result<Vec<PreparedRequest>, RuntimeError> {
-    let run_one = |i: usize| -> Result<PreparedRequest, FitError> {
-        let inputs = requests[i].entry.materialize();
-        let run = accel.try_run(&inputs)?;
-        let service_s = run.cycles.seconds(accel_config);
-        Ok(PreparedRequest { service_s, hit_service_s: service_s, trips: guard_trips(&run), inputs })
-    };
-    let work = precompute_work(
-        requests.iter().map(|r| (r.entry.pattern.n_real, r.entry.pattern.d)),
-    );
-    collect_prepared(if elsa_parallel::beneficial(work) && requests.len() > 1 {
-        elsa_parallel::par_map_indexed(requests.len(), run_one)
-    } else {
-        (0..requests.len()).map(run_one).collect()
-    })
-}
-
 /// Precomputes every turn of a session trace: full-cost and cache-hit
 /// service seconds per turn.
 ///
 /// A session's turns all slice one context, so the context is materialized
 /// once per session rather than once per turn. The turns are grouped by
 /// session, sessions in order of their first arrival, and the sessions fan
-/// out under the same parallel gate as [`prepare_entries`]. A worker
-/// materializes one session's context, runs its turns in arrival order on
-/// slices of it, and drops it before the next session, so one context per
-/// worker is alive at a time. A turn whose entry differs from the context
-/// in hand materializes its own. Every turn's result is the per-turn
-/// computation's, bit for bit, and results come back in turn order, so they
-/// are identical at any `ELSA_THREADS`.
+/// out under an `elsa_parallel` work gate. A worker materializes one
+/// session's context, runs its turns in arrival order on slices of it, and
+/// drops it before the next session, so one context per worker is alive at
+/// a time. A turn whose entry differs from the context in hand materializes
+/// its own. Every turn's result is the per-turn computation's, bit for bit,
+/// and results come back in turn order, so they are identical at any
+/// `ELSA_THREADS`. A plain request is a single-turn session
+/// ([`SessionTrace::single_turn`](crate::SessionTrace::single_turn)), so
+/// this is the precompute of every serving path.
 ///
 /// # Errors
 ///
@@ -199,29 +173,6 @@ pub fn prepare_turns(
         }
     }
     collect_prepared(runs.into_iter().flatten().collect())
-}
-
-/// Builds the admission entries of a plain trace: each request routes to
-/// the bucket of its real length.
-#[must_use]
-pub fn entry_admissions(
-    batch: &BatchPolicy,
-    requests: &[ArrivalRequest],
-    prepared: &[PreparedRequest],
-) -> Vec<QueuedRequest> {
-    requests
-        .iter()
-        .map(|request| {
-            let n_real = prepared[request.id].inputs.num_keys();
-            QueuedRequest {
-                id: request.id,
-                arrival_ns: request.arrival_ns,
-                deadline_ns: request.deadline_ns,
-                n_real,
-                bucket: batch.bucket_of(n_real),
-            }
-        })
-        .collect()
 }
 
 /// Builds the admission entries of a session trace with **session
@@ -413,18 +364,6 @@ impl<'a> NodeEngine<'a> {
         self.clock.advance_to(t_ns);
     }
 
-    /// Queued requests right now.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// The earliest batching expiry among the queued buckets, if any.
-    #[must_use]
-    pub fn next_expiry(&self) -> Option<u64> {
-        self.queue.earliest_expiry(self.cfg.batch.max_wait_ns).map(|(expiry, _)| expiry)
-    }
-
     /// Instantaneous backlog in seconds per available unit: remaining busy
     /// time on the units plus the full-cost service of everything queued,
     /// divided by the available-unit count (`+∞` when no unit is
@@ -442,12 +381,6 @@ impl<'a> NodeEngine<'a> {
             self.queue.iter().map(|r| self.prepared[r.id].service_s * self.service_scale),
         );
         (busy + queued) / avail.len() as f64
-    }
-
-    /// Read-only snapshot of the engine's unit health.
-    #[must_use]
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        self.health.snapshot()
     }
 
     /// Drains every queued request *without* recording an outcome, in

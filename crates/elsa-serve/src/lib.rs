@@ -43,11 +43,16 @@
 //!   preprocessing; an evicted session pays the full from-scratch rebuild
 //!   on its next turn.
 //!
-//! Batch serving is the degenerate configuration, not a second engine:
-//! [`ServeConfig::immediate`] (unbounded queue, batch size 1, no wait) on
-//! an [`ArrivalTrace::simultaneous`] trace dispatches every request at
-//! t = 0, first-come first-served onto the unit that frees first. The
-//! facade's `tests/fault_tolerance.rs` pins that case bitwise against an
+//! Plain serving is the single-turn case of session serving, not a second
+//! path: each request of an [`ArrivalTrace`] is one whole self-attention
+//! invocation, served as a session whose only turn appends every token
+//! ([`SessionTrace::single_turn`]), so [`prepare_turns`] is the only
+//! precompute. Batch serving is in turn the degenerate configuration of
+//! plain serving, not a second engine: [`ServeConfig::immediate`]
+//! (unbounded queue, batch size 1, no wait) on an
+//! [`ArrivalTrace::simultaneous`] trace dispatches every request at t = 0,
+//! first-come first-served onto the unit that frees first. The facade's
+//! `tests/fault_tolerance.rs` pins that case bitwise against an
 //! independent FIFO fold.
 
 #![deny(missing_docs)]
@@ -68,8 +73,8 @@ pub use batcher::{BatchPolicy, BatcherMode, BucketStats};
 pub use clock::VirtualClock;
 pub use dispatch::{OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, SessionReport};
 pub use engine::{
-    entry_admissions, prepare_entries, prepare_turns, session_admissions, unit_health,
-    NodeEngine, NodeParts, PreparedRequest, SessionBook,
+    prepare_turns, session_admissions, unit_health, NodeEngine, NodeParts, PreparedRequest,
+    SessionBook,
 };
 pub use estimator::ServiceEstimator;
 pub use queue::{AdmissionQueue, Backpressure, QueuedRequest};

@@ -8,7 +8,7 @@
 //! nobody (the batcher is forced to dispatch early and make room).
 //!
 //! The queue itself is pure data structure: it never sheds or dispatches on
-//! its own. The event loop in [`dispatch`](crate::dispatch) owns those
+//! its own. The event loop in [`engine`](crate::engine) owns those
 //! decisions, which keeps every policy choice in one audited place.
 
 use std::collections::VecDeque;
@@ -98,12 +98,6 @@ impl AdmissionQueue {
         assert!(!self.is_full(), "push into a full queue: apply backpressure first");
         self.buckets[request.bucket].push_back(request);
         self.len += 1;
-    }
-
-    /// The oldest waiter in one bucket.
-    #[must_use]
-    pub fn oldest_in_bucket(&self, bucket: usize) -> Option<&QueuedRequest> {
-        self.buckets[bucket].front()
     }
 
     /// The bucket holding the globally oldest request (ties broken by the

@@ -6,9 +6,9 @@
 //! prefill of `prompt_len` tokens, then one decode turn per remaining token
 //! until the full context is built. Each turn's inputs are row slices of the
 //! single materialized invocation ([`turn_inputs`]), so running every turn
-//! of a session touches exactly the bits the one-shot invocation would —
-//! which is what lets the serving layer prove its degenerate single-turn
-//! mode bit-identical to the one-shot path.
+//! of a session touches exactly the bits the one-shot invocation would, and
+//! a whole-invocation turn *is* the one-shot invocation. That is what lets
+//! the serving layer serve a one-shot request as a single-turn session.
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_linalg::SeededRng;
@@ -34,7 +34,9 @@ pub struct SessionSpec {
 pub struct SessionTurn {
     /// Context length (keys/values) visible to this turn.
     pub prefix_len: usize,
-    /// Tokens appended by this turn (= query rows it runs).
+    /// Tokens appended by this turn: the token positions
+    /// `prefix_len - appended .. prefix_len`. The turn runs the query rows
+    /// that stand at those positions ([`turn_inputs`]).
     pub appended: usize,
 }
 
@@ -81,21 +83,30 @@ pub fn record_sessions(workload: &Workload, count: usize, rng: &mut SeededRng) -
 }
 
 /// The inputs for one turn, sliced from the session's fully materialized
-/// invocation: keys/values are rows `0..prefix_len` (the context built so
-/// far), queries are the `appended` rows this turn contributed (rows
-/// `prefix_len - appended .. prefix_len`). With `appended == prefix_len ==
-/// n_real` this is exactly the one-shot invocation.
+/// invocation. The turn appends the tokens at positions
+/// `prefix_len - appended .. prefix_len`. Its keys/values are rows
+/// `0..prefix_len` (the context built so far), and its queries are the
+/// query rows that stand at its appended positions. Query row `i` stands at
+/// position `n − n_q + i` (the generator's convention; see
+/// [`TargetStructure::Local`](crate::synthetic::TargetStructure::Local)),
+/// so for a square invocation the rows and the positions coincide. The
+/// whole-invocation turn (`appended == n_real`) is exactly the one-shot
+/// invocation, query rows and all.
 ///
 /// # Panics
 ///
-/// Panics if `appended == 0`, `appended > prefix_len`, or `prefix_len`
-/// exceeds the invocation's length.
+/// Panics if `appended == 0`, `appended > prefix_len`, `prefix_len`
+/// exceeds the invocation's length, or no query row stands at the appended
+/// positions.
 #[must_use]
 pub fn turn_inputs(full: &AttentionInputs, prefix_len: usize, appended: usize) -> AttentionInputs {
     assert!(appended > 0 && appended <= prefix_len, "bad turn shape");
-    assert!(prefix_len <= full.num_keys(), "prefix exceeds context");
+    let (n, n_q) = (full.num_keys(), full.num_queries());
+    assert!(prefix_len <= n, "prefix exceeds context");
+    let row = |position: usize| (position + n_q).saturating_sub(n);
+    let queries = if appended == n { 0..n_q } else { row(prefix_len - appended)..row(prefix_len) };
     AttentionInputs::new(
-        full.query().row_slice(prefix_len - appended..prefix_len),
+        full.query().row_slice(queries),
         full.key().row_slice(0..prefix_len),
         full.value().row_slice(0..prefix_len),
     )
@@ -104,7 +115,7 @@ pub fn turn_inputs(full: &AttentionInputs, prefix_len: usize, appended: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DatasetKind, ModelKind};
+    use crate::{DatasetKind, LongCtxKind, ModelKind};
 
     fn workload() -> Workload {
         Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M }
@@ -141,10 +152,19 @@ mod tests {
     #[test]
     fn full_session_turn_equals_one_shot_invocation() {
         let mut rng = SeededRng::new(3);
-        let spec = record_sessions(&workload(), 1, &mut rng)[0];
-        let full = spec.entry.materialize();
-        let n = spec.n_total();
-        assert_eq!(turn_inputs(&full, n, n), full);
+        let mut entries = vec![record_sessions(&workload(), 1, &mut rng)[0].entry];
+        // Long-context entries run fewer query rows than they have keys.
+        for kind in LongCtxKind::all() {
+            entries.extend(kind.record_trace(192, 1, &mut rng).entries);
+        }
+        for entry in entries {
+            let full = entry.materialize();
+            let n = entry.pattern.n_real;
+            assert_eq!(turn_inputs(&full, n, n), full, "{:?}", entry.pattern.structure);
+            // The last token's turn runs the last query row, whatever n_q is.
+            let last = turn_inputs(&full, n, 1);
+            assert_eq!(last.query().row(0), full.query().row(full.num_queries() - 1));
+        }
     }
 
     #[test]

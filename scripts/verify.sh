@@ -6,13 +6,15 @@
 #    to four — so the deterministic-parallelism contract (bit-identical
 #    results at any worker count; see crates/elsa-parallel) is exercised on
 #    every gate run, plus bench smoke runs
-# 3. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
+# 3. the artifact gate: every host-independent bin's output must match its
+#    committed results/*.txt or BENCH_*.json file byte-for-byte
+# 4. static analysis: `elsa-lint` (in-tree, zero-dependency) scans every .rs
 #    file and Cargo.toml and enforces the determinism, reduction-order,
 #    arithmetic-headroom, panic-policy/pairing/reachability, and
 #    unsafe-hygiene contracts; any unwaived finding, over-budget rule, or
 #    stale waiver fails the gate, and the machine-readable report must match
 #    the committed results/lint_report.json byte-for-byte.
-# 4. dependency guard: every [dependencies]/[dev-dependencies] entry in every
+# 5. dependency guard: every [dependencies]/[dev-dependencies] entry in every
 #    Cargo.toml must be an in-tree path dependency (directly or via
 #    workspace = true); anything resolving to crates.io fails the gate. This
 #    is elsa-lint's O1 rule — no external interpreter required.
@@ -116,39 +118,54 @@ for threads in 1 4; do
   ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline -p elsa-linalg --lib candidate_oracle
 done
 
-echo "==> flash accounting regression (bench_flash vs committed BENCH_flash.json)"
-# bench_flash reads no wall clock: every value is an analytic FLOP/byte
-# count or a deterministic model cycle count from pinned seeds, so the
-# output must reproduce the committed file byte-for-byte on any host.
-cargo run -q --release --offline -p elsa-bench --bin bench_flash | diff - BENCH_flash.json \
-  || { echo "FAIL: bench_flash output diverged from committed BENCH_flash.json"; exit 1; }
-
-echo "==> session cache regression (bench_session vs committed BENCH_session.json)"
-# bench_session is equally host-independent: closed-form decode-step cycles
-# and the deterministic cache registry from pinned seeds, byte-for-byte.
-cargo run -q --release --offline -p elsa-bench --bin bench_session | diff - BENCH_session.json \
-  || { echo "FAIL: bench_session output diverged from committed BENCH_session.json"; exit 1; }
-
-echo "==> cluster serving regression (bench_cluster vs committed BENCH_cluster.json)"
-# bench_cluster runs entirely on the simulator's virtual clock: scaling
-# sweep, routing-policy comparison, and the node-death recovery timeline
-# are all deterministic functions of pinned seeds, byte-for-byte.
-cargo run -q --release --offline -p elsa-bench --bin bench_cluster | diff - BENCH_cluster.json \
-  || { echo "FAIL: bench_cluster output diverged from committed BENCH_cluster.json"; exit 1; }
-
-echo "==> fault sweep regression (bench_fault vs committed BENCH_fault.json)"
-# bench_fault serves a recorded all-at-t=0 batch through OnlineServer under
-# seeded fault plans and reports only virtual-clock latencies and counts, so
-# the JSON reproduces byte-for-byte on any host.
-cargo run -q --release --offline -p elsa-bench --bin bench_fault | diff - BENCH_fault.json \
-  || { echo "FAIL: bench_fault output diverged from committed BENCH_fault.json"; exit 1; }
-
-echo "==> long-context regression (bench_longctx vs committed BENCH_longctx.json)"
-# bench_longctx is pure seeded arithmetic: the rival frontier (ELSA hashing
-# vs pooled-KV on identical 8k-64k traces) and the closed-form skew model
-# read no clocks and no host state, so the JSON reproduces byte-for-byte.
-cargo run -q --release --offline -p elsa-bench --bin bench_longctx | diff - BENCH_longctx.json \
-  || { echo "FAIL: bench_longctx output diverged from committed BENCH_longctx.json"; exit 1; }
+echo "==> artifact gate (every host-independent bin vs its committed file)"
+# Each bin below reads no wall clock and no host state: every value is a
+# seeded computation, an analytic FLOP/byte count, or a model cycle count on
+# the virtual clock. So its stdout must reproduce its committed file
+# byte-for-byte on any host with the same platform math library (libm). A
+# change that deliberately moves a file recaptures it with the command the
+# failure prints. BENCH_parallel.json is left out on purpose: it records
+# wall-clock timings of the host that ran it.
+artifacts=(
+  ablation_arbiter:results/ablation_arbiter.txt
+  ablation_hash_length:results/ablation_hash_length.txt
+  ablation_kronecker:results/ablation_kronecker.txt
+  ablation_orthogonal_srp:results/ablation_orthogonal_srp.txt
+  ablation_parallel_pipeline:results/ablation_parallel_pipeline.txt
+  ablation_pipeline:results/ablation_pipeline.txt
+  ablation_theta_percentile:results/ablation_theta_percentile.txt
+  ablation_topk:results/ablation_topk.txt
+  cmp_a3:results/cmp_a3.txt
+  cmp_segmentation:results/cmp_segmentation.txt
+  cmp_software_sparse:results/cmp_software_sparse.txt
+  cmp_tpu:results/cmp_tpu.txt
+  deep_accuracy:results/deep_accuracy.txt
+  end_to_end_speedup:results/end_to_end_speedup.txt
+  fig02_runtime_portion:results/fig02_runtime_portion.txt
+  fig10_accuracy_vs_p:results/fig10_accuracy_vs_p.txt
+  fig11a_throughput:results/fig11a_throughput.txt
+  fig11b_latency:results/fig11b_latency.txt
+  fig12_layout:results/fig12_layout.txt
+  fig13a_energy_efficiency:results/fig13a_energy_efficiency.txt
+  fig13b_energy_breakdown:results/fig13b_energy_breakdown.txt
+  gpu_approx_slowdown:results/gpu_approx_slowdown.txt
+  quantization_impact:results/quantization_impact.txt
+  table1_area_power:results/table1_area_power.txt
+  theta_bias_calibration:results/theta_bias_calibration.txt
+  bench_cluster:BENCH_cluster.json
+  bench_fault:BENCH_fault.json
+  bench_flash:BENCH_flash.json
+  bench_longctx:BENCH_longctx.json
+  bench_serve:BENCH_serve.json
+  bench_session:BENCH_session.json
+)
+for artifact in "${artifacts[@]}"; do
+  bin=${artifact%%:*}
+  file=${artifact#*:}
+  cargo run -q --release --offline -p elsa-bench --bin "$bin" 2>/dev/null | diff -q - "$file" >/dev/null \
+    || { echo "FAIL: $file diverged from the output of bin $bin (recapture: cargo run --release --offline -p elsa-bench --bin $bin > $file)"; exit 1; }
+done
+echo "all ${#artifacts[@]} artifacts reproduce byte-for-byte"
 
 echo "==> bench smoke runs (each benchmark body once)"
 cargo test -q --offline --workspace --benches

@@ -45,7 +45,7 @@ use elsa::serve::{
     ServeConfig, ServeReport, SessionArrivalConfig, SessionTrace,
 };
 use elsa::sim::AcceleratorConfig;
-use elsa::workloads::{DatasetKind, FleetMix, ModelKind, Workload};
+use elsa::workloads::{DatasetKind, FleetMix, LongCtxKind, ModelKind, Workload};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 const POLICIES: [RoutePolicy; 3] =
@@ -203,32 +203,40 @@ fn assert_exact_accounting(report: &ClusterReport, offered: usize, label: &str) 
 
 #[test]
 fn one_node_zero_fault_cluster_matches_the_single_node_server_bitwise() {
-    let arrivals = ArrivalTrace::generate(
+    // The long-context entries run fewer query rows than they have keys.
+    let mut traces = vec![ArrivalTrace::generate(
         &workload(),
         &ArrivalConfig { slo_ns: Some(500_000), ..ArrivalConfig::poisson(150_000.0, 36) },
         &mut SeededRng::new(0xC1A0),
-    );
+    )];
+    for kind in LongCtxKind::all() {
+        let recorded = kind.record_trace(192, 3, &mut SeededRng::new(0xC1A1));
+        traces.push(ArrivalTrace::simultaneous(&recorded));
+    }
     let server = OnlineServer::new(config(), operator().clone(), FaultPlan::none(), serve_config());
-    let plain = server.serve(&arrivals).expect("healthy pool");
-    let sessions = SessionTrace::single_turn(&arrivals);
-    for policy in POLICIES {
-        let cluster = Cluster::new(
-            ClusterConfig { policy, ..ClusterConfig::baseline(1, config(), serve_config()) },
-            operator().clone(),
-        );
-        let report = cluster.serve(&sessions).expect("healthy fleet");
-        let projected = report.to_serve_report();
-        assert_eq!(report_bits(&plain), report_bits(&projected), "{policy:?}");
-        assert_eq!(plain, projected, "{policy:?}: diverged beyond the bit projection");
-        // The fleet machinery must have stayed completely idle.
-        assert_eq!(report.router.admissions, 36, "{policy:?}");
-        assert_eq!(report.router.refused, 0, "{policy:?}");
-        assert_eq!(report.router.reroutes, 0, "{policy:?}");
-        assert_eq!(report.router.router_finished, 0, "{policy:?}");
-        assert_eq!(report.router.hedges, 0, "{policy:?}");
-        assert!(report.scale_events.is_empty(), "{policy:?}");
-        assert!(report.records.iter().all(|r| r.node == Some(0) && !r.hedged), "{policy:?}");
-        assert_exact_accounting(&report, 36, "one-node");
+    for arrivals in &traces {
+        let plain = server.serve(arrivals).expect("healthy pool");
+        let sessions = SessionTrace::single_turn(arrivals);
+        let offered = arrivals.len();
+        for policy in POLICIES {
+            let cluster = Cluster::new(
+                ClusterConfig { policy, ..ClusterConfig::baseline(1, config(), serve_config()) },
+                operator().clone(),
+            );
+            let report = cluster.serve(&sessions).expect("healthy fleet");
+            let projected = report.to_serve_report();
+            assert_eq!(report_bits(&plain), report_bits(&projected), "{policy:?}");
+            assert_eq!(plain, projected, "{policy:?}: diverged beyond the bit projection");
+            // The fleet machinery must have stayed completely idle.
+            assert_eq!(report.router.admissions, offered as u64, "{policy:?}");
+            assert_eq!(report.router.refused, 0, "{policy:?}");
+            assert_eq!(report.router.reroutes, 0, "{policy:?}");
+            assert_eq!(report.router.router_finished, 0, "{policy:?}");
+            assert_eq!(report.router.hedges, 0, "{policy:?}");
+            assert!(report.scale_events.is_empty(), "{policy:?}");
+            assert!(report.records.iter().all(|r| r.node == Some(0) && !r.hedged), "{policy:?}");
+            assert_exact_accounting(&report, offered, "one-node");
+        }
     }
 }
 

@@ -44,7 +44,7 @@ use elsa::serve::{
 };
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
-use elsa::workloads::{DatasetKind, ModelKind, Workload};
+use elsa::workloads::{DatasetKind, LongCtxKind, ModelKind, Workload};
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -343,12 +343,17 @@ fn multi_turn_accounting_is_exact_under_eviction_and_replays_across_threads() {
 fn degenerate_session_serving_matches_plain_online_server_bitwise() {
     // Single-turn sessions + an unbounded cache must collapse onto the
     // plain pipeline: same records, same bucket stats, bit for bit — the
-    // session layer is a pure extension, not a reinterpretation.
-    let arrivals = ArrivalTrace::generate(
+    // session layer is a pure extension, not a reinterpretation. The
+    // long-context entries run fewer query rows than they have keys.
+    let mut traces = vec![ArrivalTrace::generate(
         &workload(),
         &ArrivalConfig { slo_ns: Some(500_000), ..ArrivalConfig::poisson(150_000.0, 36) },
         &mut SeededRng::new(0x5E56),
-    );
+    )];
+    for kind in LongCtxKind::all() {
+        let recorded = kind.record_trace(192, 3, &mut SeededRng::new(0x5E57));
+        traces.push(ArrivalTrace::simultaneous(&recorded));
+    }
     let server = OnlineServer::new(
         config(),
         operator().clone(),
@@ -361,20 +366,24 @@ fn degenerate_session_serving_matches_plain_online_server_bitwise() {
             ..ServeConfig::default()
         },
     );
-    let sessions = SessionTrace::single_turn(&arrivals);
-    for workers in WORKER_COUNTS {
-        let (plain, session) = with_threads(workers, || {
-            (
-                server.serve(&arrivals).expect("healthy pool"),
-                server.serve_sessions(&sessions, CacheConfig::unbounded()).expect("healthy pool"),
-            )
-        });
-        assert_eq!(report_bits(&plain), report_bits(&session.serve), "threads={workers}");
-        assert_eq!(plain, session.serve, "threads={workers}");
-        // One-turn sessions can never hit or go stale, and nothing evicts.
-        assert_eq!(session.cache.hits, 0);
-        assert_eq!(session.cache.stale, 0);
-        assert_eq!(session.cache.evictions, 0);
-        assert_eq!(session.cache.cold, plain.served_count() as u64);
+    for arrivals in &traces {
+        let sessions = SessionTrace::single_turn(arrivals);
+        for workers in WORKER_COUNTS {
+            let (plain, session) = with_threads(workers, || {
+                (
+                    server.serve(arrivals).expect("healthy pool"),
+                    server
+                        .serve_sessions(&sessions, CacheConfig::unbounded())
+                        .expect("healthy pool"),
+                )
+            });
+            assert_eq!(report_bits(&plain), report_bits(&session.serve), "threads={workers}");
+            assert_eq!(plain, session.serve, "threads={workers}");
+            // One-turn sessions can never hit or go stale, and nothing evicts.
+            assert_eq!(session.cache.hits, 0);
+            assert_eq!(session.cache.stale, 0);
+            assert_eq!(session.cache.evictions, 0);
+            assert_eq!(session.cache.cold, plain.served_count() as u64);
+        }
     }
 }
