@@ -10,13 +10,15 @@
 //! of the shared candidate-row kernel [`ops::attend_candidates`] (the one
 //! `elsa-core`'s decode sessions run too), over the key matrix widened to
 //! `f64` once per call; the widening is exact, so the widened and the `f32`
-//! keys give the same bits. With every key selected
+//! keys give the same bits. The kernel keeps its buffers in per-thread
+//! scratch and sums 32 output columns at a time in registers, with the bits
+//! of one `axpy` per candidate into a zeroed row. With every key selected
 //! for every query it agrees with [`attention`] to within `1e-5` per element
 //! (one of the crate's invariant tests), but not bit for bit: it normalizes
 //! the softmax with an `f64` divide where [`attention`] multiplies by an
 //! `f32` reciprocal, and it accumulates the weighted value rows in `f32`
-//! (`axpy`) where [`attention`]'s PV product sums in `f64`. On random
-//! `9 × 8` inputs about half the elements differ, by at most a few `1e-7`.
+//! where [`attention`]'s PV product sums in `f64`. On random `9 × 8` inputs
+//! about half the elements differ, by at most a few `1e-7`.
 
 use elsa_linalg::{ops, Matrix};
 
@@ -197,9 +199,9 @@ pub fn attention_with_candidates(
     let keys: Vec<f64> = inputs.key().as_slice().iter().map(|&x| f64::from(x)).collect();
     // Per-query rows are independent; fan them out when the total candidate
     // volume is large. Each row's computation is the unchanged serial kernel,
-    // so the result is bit-identical at any worker count. One dot or axpy
-    // element costs about two matmul multiply-adds (the unit of
-    // `elsa_parallel::MIN_PARALLEL_WORK`).
+    // so the result is bit-identical at any worker count. One element of a
+    // candidate's dot chain or weighted sum costs about two matmul
+    // multiply-adds (the unit of `elsa_parallel::MIN_PARALLEL_WORK`).
     let total_cands: usize = candidates.iter().map(Vec::len).sum();
     let work = total_cands.saturating_mul(2 * (inputs.dim() + dv));
     out.par_rows_mut(work, |i, row| {

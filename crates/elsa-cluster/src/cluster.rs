@@ -179,7 +179,8 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Request`] when a turn does not fit the
-    /// hardware (rejected before any virtual time passes).
+    /// hardware or holds no query row at its appended positions (rejected
+    /// before any virtual time passes).
     ///
     /// # Panics
     ///

@@ -19,6 +19,10 @@ use crate::hashing::{hamming_words, BinaryHash, SrpHasher};
 use crate::similarity::SimilarityLut;
 use crate::threshold::ThresholdLearner;
 
+/// Keys the candidate scan handles per block: their Hamming distances and
+/// the indices of their matches fit in stack buffers.
+const SCAN_BLOCK: usize = 256;
+
 /// Immutable algorithm parameters shared by every invocation of one
 /// (sub-)layer: the hasher and the angle-corrected similarity table.
 #[derive(Debug, Clone)]
@@ -314,11 +318,14 @@ impl ElsaAttention {
     /// and [`crate::session::StreamingSession`], so all three select
     /// bit-identically by construction.
     ///
-    /// One scan over the flat signature store: per key an XOR and a
-    /// popcount, then the `f64` test `lut[h] · ‖K_j‖ > t·‖K_max‖`. Matches
-    /// are compacted without a data-dependent branch (see `compact`).
-    /// Only when nothing passes does a second scan find the fallback key:
-    /// the first one of maximal approximate similarity.
+    /// The scan walks the flat signature store in blocks of 256 keys, two
+    /// passes per block: the first writes every key's Hamming distance (an
+    /// XOR and a popcount per word) into a stack buffer; the second runs the
+    /// `f64` test `lut[h] · ‖K_j‖ > t·‖K_max‖` and compacts the matches
+    /// without a data-dependent branch (store the index, then advance the
+    /// count by the test's result). Only when nothing passes does a rescan
+    /// find the fallback key: the first one of maximal approximate
+    /// similarity. Nothing but the result is allocated.
     ///
     /// # Panics
     ///
@@ -340,29 +347,60 @@ impl ElsaAttention {
     /// The scan of [`select_candidates_bounded`](Self::select_candidates_bounded)
     /// for a query signature given as packed words; the caller has checked
     /// its length against the keys' and `limit` against their count.
+    ///
+    /// The selected keys are those with `sim > cutoff`, in key order; when
+    /// none passes, the fallback is the first key of maximal `sim` (a key
+    /// replaces the running best unless `sim <= best`, so a NaN replaces it
+    /// and is replaced by the next key).
     fn select_words(&self, q: &[u64], pre: &PreprocessedKeys, limit: usize) -> (Vec<usize>, bool) {
         let lut = self.params.lut.table();
         let cutoff = self.threshold * pre.max_norm();
+        let words = q.len();
         let norms = &pre.norms()[..limit];
-        let signatures = &pre.signatures()[..limit * q.len()];
-        // Hashes of at most 64 bits (the paper's k = 64) take a one-word
-        // arm. The general arm gives the same bits, but its per-key word
-        // loop made the n = 1024 prefill operator about 8% slower on the
-        // 2-core reference host (28.6 against 26.3 ms, 8 of 8 pairs).
-        match *q {
-            [q0] => select(
-                signatures.iter().zip(norms).map(|(&s, &norm)| {
-                    lut[(q0 ^ s).count_ones() as usize] * norm
-                }),
-                cutoff,
-            ),
-            _ => select(
-                signatures.chunks_exact(q.len()).zip(norms).map(|(s, &norm)| {
-                    lut[hamming_words(q, s)] * norm
-                }),
-                cutoff,
-            ),
+        let signatures = &pre.signatures()[..limit * words];
+        let mut selected = Vec::new();
+        let mut distances = [0u32; SCAN_BLOCK];
+        let mut picked = [0usize; SCAN_BLOCK];
+        for (block, (norms, signatures)) in
+            norms.chunks(SCAN_BLOCK).zip(signatures.chunks(SCAN_BLOCK * words)).enumerate()
+        {
+            let distances = &mut distances[..norms.len()];
+            // Hashes of at most 64 bits (the paper's k = 64) take a one-word
+            // arm, which LLVM vectorizes as a packed popcount; the general
+            // arm gives the same distances.
+            match *q {
+                [q0] => {
+                    for (h, &s) in distances.iter_mut().zip(signatures) {
+                        *h = (q0 ^ s).count_ones();
+                    }
+                }
+                _ => {
+                    for (h, s) in distances.iter_mut().zip(signatures.chunks_exact(words)) {
+                        *h = hamming_words(q, s) as u32;
+                    }
+                }
+            }
+            let first = block * SCAN_BLOCK;
+            let mut count = 0;
+            for (j, (&h, &norm)) in (first..).zip(distances.iter().zip(norms)) {
+                picked[count] = j;
+                count += usize::from(lut[h as usize] * norm > cutoff);
+            }
+            selected.extend_from_slice(&picked[..count]);
         }
+        if !selected.is_empty() {
+            return (selected, false);
+        }
+        let mut best: Option<(usize, f64)> = None;
+        for (j, (s, &norm)) in signatures.chunks_exact(words).zip(norms).enumerate() {
+            let sim = lut[hamming_words(q, s)] * norm;
+            match best {
+                Some((_, b)) if sim <= b => {}
+                _ => best = Some((j, sim)),
+            }
+        }
+        let j = best.expect("limit > 0 guarantees a best key").0;
+        (vec![j], true)
     }
 
     /// Computes candidate lists for every query of an invocation.
@@ -384,9 +422,9 @@ impl ElsaAttention {
             num_keys: inputs.num_keys(),
             ..SelectionStats::default()
         };
-        // Per query: one scan step per key, which costs about 20 matmul
+        // Per query: one scan step per key, which costs about 16 matmul
         // multiply-adds (see `elsa_parallel::MIN_PARALLEL_WORK`).
-        let work = inputs.num_queries().saturating_mul(inputs.num_keys()).saturating_mul(20);
+        let work = inputs.num_queries().saturating_mul(inputs.num_keys()).saturating_mul(16);
         // `AttentionInputs` holds at least one key, and both signatures come
         // from this operator's hasher.
         let select_one =
@@ -412,51 +450,6 @@ impl ElsaAttention {
         let (cands, stats) = self.candidates(inputs);
         let out = exact::attention_with_candidates(inputs, &cands, self.params.scale);
         (out, stats)
-    }
-}
-
-/// Candidate selection over one query's approximate similarities, in key
-/// order: the keys with `sim > cutoff`, or — when none passes — the first
-/// key of maximal `sim` (a key replaces the running best unless
-/// `sim <= best`, so a NaN replaces it and is replaced by the next key),
-/// flagged as a fallback.
-fn select(sims: impl Iterator<Item = f64> + Clone, cutoff: f64) -> (Vec<usize>, bool) {
-    let selected = compact(sims.clone().map(|sim| sim > cutoff));
-    if !selected.is_empty() {
-        return (selected, false);
-    }
-    let mut best: Option<(usize, f64)> = None;
-    for (j, sim) in sims.enumerate() {
-        match best {
-            Some((_, b)) if sim <= b => {}
-            _ => best = Some((j, sim)),
-        }
-    }
-    let j = best.expect("limit > 0 guarantees a best key").0;
-    (vec![j], true)
-}
-
-/// The indices at which `keep` yields `true`, in order. Each block of keys
-/// is compacted into a stack buffer without a data-dependent branch — store
-/// the index, then advance the count by the test's result — and appended
-/// in one copy, so no key-count-long buffer is ever allocated.
-fn compact(mut keep: impl Iterator<Item = bool>) -> Vec<usize> {
-    const BLOCK: usize = 256;
-    let mut selected = Vec::new();
-    let mut buf = [0usize; BLOCK];
-    let mut base = 0;
-    loop {
-        let (mut count, mut seen) = (0, 0);
-        for k in keep.by_ref().take(BLOCK) {
-            buf[count] = base + seen;
-            count += usize::from(k);
-            seen += 1;
-        }
-        selected.extend_from_slice(&buf[..count]);
-        if seen < BLOCK {
-            return selected;
-        }
-        base += BLOCK;
     }
 }
 

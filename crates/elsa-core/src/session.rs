@@ -20,7 +20,9 @@
 //! as the batch path ([`ElsaAttention::select_candidates_bounded`] and the
 //! candidate-row kernel `elsa_linalg::ops::attend_candidates`, which the
 //! sessions run on their own `f32` key rows), so the two session types and
-//! `forward` cannot drift apart numerically.
+//! `forward` cannot drift apart numerically. A decode step allocates only
+//! the query's signature, its candidate list and its output row: the scan
+//! works in stack buffers and the kernel in per-thread scratch.
 
 use elsa_attention::exact::AttentionInputs;
 use elsa_linalg::{ops, Matrix};
@@ -277,7 +279,9 @@ impl<'a> StreamingSession<'a> {
 /// shared [`ops::attend_candidates`] kernel that the batch path
 /// (`exact::attention_with_candidates`) runs too, on the sessions' own `f32`
 /// key rows, so a query over the same candidates produces the same bits
-/// regardless of which path selected them.
+/// regardless of which path selected them. The kernel widens the query
+/// itself; the keys stay `f32`, since widening every key for one query would
+/// cost more than it saves.
 fn attend_candidates(
     operator: &ElsaAttention,
     keys: &Matrix,

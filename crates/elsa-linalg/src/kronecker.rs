@@ -33,6 +33,7 @@
 use std::cell::Cell;
 
 use crate::matrix::Matrix;
+use crate::ops::grow;
 use crate::orthogonal;
 use crate::rng::SeededRng;
 
@@ -276,14 +277,6 @@ pub fn kron(a: &Matrix, b: &Matrix) -> Matrix {
     Matrix::from_fn(a.rows() * p, a.cols() * q, |r, c| {
         a[(r / p, c / q)] * b[(r % p, c % q)]
     })
-}
-
-/// The first `len` values of `buf`, grown (never shrunk) to hold them.
-fn grow(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    &mut buf[..len]
 }
 
 /// Contracts one mode of `R` interleaved lanes: `src` holds the tensor

@@ -81,8 +81,9 @@ pub use std::thread::Scope;
 /// weights its item count by what one item costs in those units, measured
 /// on that host: an `f64` exp about 32; one Kronecker projection multiply
 /// of the block hashing kernel about 3 (a dense projection is a matmul);
-/// one candidate-scan step about 20; one element of an interleaved
-/// candidate dot or axpy about 2, of a serial `ops::dot` about 4; one `f32`
+/// one candidate-scan step about 16; one element of a candidate's dot or
+/// weighted sum in `ops::attend_candidates` about 2, of a serial `ops::dot`
+/// about 4; one `f32`
 /// scale multiply about 1; and one n²·d term of a serving request's
 /// simulation about 6.
 ///

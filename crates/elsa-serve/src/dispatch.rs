@@ -421,7 +421,9 @@ impl OnlineServer {
     ///
     /// # Errors
     ///
-    /// Same as [`OnlineServer::serve`].
+    /// Same as [`OnlineServer::serve`]; a turn that holds no query row at
+    /// its appended positions is a [`RuntimeError::Request`] too, with
+    /// [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
     ///
     /// # Panics
     ///

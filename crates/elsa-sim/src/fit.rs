@@ -48,6 +48,16 @@ pub enum FitError {
         /// Head dimension the hardware is configured for.
         hardware_d: usize,
     },
+    /// A session turn appends token positions at which its invocation has
+    /// no query row, so the turn has no query to run (for example a prefill
+    /// that stops before a long document's trailing query rows).
+    NoQueryRow {
+        /// Context length after the turn.
+        prefix_len: usize,
+        /// Tokens the turn appends: positions `prefix_len - appended ..
+        /// prefix_len`.
+        appended: usize,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -68,6 +78,11 @@ impl fmt::Display for FitError {
             FitError::RequestDim { input_d, hardware_d } => write!(
                 f,
                 "head dimension mismatch: invocation d = {input_d}, hardware d = {hardware_d}"
+            ),
+            FitError::NoQueryRow { prefix_len, appended } => write!(
+                f,
+                "turn appending positions {}..{prefix_len} holds no query row",
+                prefix_len.saturating_sub(appended)
             ),
         }
     }

@@ -10,6 +10,8 @@
 //! a whole-invocation turn *is* the one-shot invocation. That is what lets
 //! the serving layer serve a one-shot request as a single-turn session.
 
+use std::ops::Range;
+
 use elsa_attention::exact::AttentionInputs;
 use elsa_linalg::SeededRng;
 
@@ -82,15 +84,38 @@ pub fn record_sessions(workload: &Workload, count: usize, rng: &mut SeededRng) -
         .collect()
 }
 
+/// The query rows of the fully materialized invocation `full` that stand
+/// at a turn's appended positions `prefix_len - appended .. prefix_len`:
+/// the queries [`turn_inputs`] runs. Query row `i` stands at position
+/// `n − n_q + i` (the generator's convention; see
+/// [`TargetStructure::Local`](crate::synthetic::TargetStructure::Local)),
+/// so for a square invocation the rows and the positions coincide. The
+/// whole-invocation turn (`appended == n_real`) runs every query row. The
+/// range is empty when no query row stands at the appended positions.
+///
+/// # Panics
+///
+/// Panics if `appended == 0`, `appended > prefix_len`, or `prefix_len`
+/// exceeds the invocation's length.
+#[must_use]
+pub fn turn_query_rows(full: &AttentionInputs, prefix_len: usize, appended: usize) -> Range<usize> {
+    assert!(appended > 0 && appended <= prefix_len, "bad turn shape");
+    let (n, n_q) = (full.num_keys(), full.num_queries());
+    assert!(prefix_len <= n, "prefix exceeds context");
+    let row = |position: usize| (position + n_q).saturating_sub(n);
+    if appended == n {
+        0..n_q
+    } else {
+        row(prefix_len - appended)..row(prefix_len)
+    }
+}
+
 /// The inputs for one turn, sliced from the session's fully materialized
 /// invocation. The turn appends the tokens at positions
 /// `prefix_len - appended .. prefix_len`. Its keys/values are rows
 /// `0..prefix_len` (the context built so far), and its queries are the
-/// query rows that stand at its appended positions. Query row `i` stands at
-/// position `n − n_q + i` (the generator's convention; see
-/// [`TargetStructure::Local`](crate::synthetic::TargetStructure::Local)),
-/// so for a square invocation the rows and the positions coincide. The
-/// whole-invocation turn (`appended == n_real`) is exactly the one-shot
+/// query rows that stand at its appended positions ([`turn_query_rows`]).
+/// The whole-invocation turn (`appended == n_real`) is exactly the one-shot
 /// invocation, query rows and all.
 ///
 /// # Panics
@@ -100,13 +125,8 @@ pub fn record_sessions(workload: &Workload, count: usize, rng: &mut SeededRng) -
 /// positions.
 #[must_use]
 pub fn turn_inputs(full: &AttentionInputs, prefix_len: usize, appended: usize) -> AttentionInputs {
-    assert!(appended > 0 && appended <= prefix_len, "bad turn shape");
-    let (n, n_q) = (full.num_keys(), full.num_queries());
-    assert!(prefix_len <= n, "prefix exceeds context");
-    let row = |position: usize| (position + n_q).saturating_sub(n);
-    let queries = if appended == n { 0..n_q } else { row(prefix_len - appended)..row(prefix_len) };
     AttentionInputs::new(
-        full.query().row_slice(queries),
+        full.query().row_slice(turn_query_rows(full, prefix_len, appended)),
         full.key().row_slice(0..prefix_len),
         full.value().row_slice(0..prefix_len),
     )

@@ -105,9 +105,10 @@ for threads in 1 4; do
 done
 
 echo "==> candidate path oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
-# Candidate selection (one scan over the flat signature store, branch-free
-# compaction, fallback rescan) and the shared candidate-row kernel
-# (interleaved dot chains, softmax, axpy) promise bitwise equality with the
+# Candidate selection (a two-pass scan of the flat signature store in
+# blocks of 256 keys, branch-free compaction, fallback rescan) and the
+# shared candidate-row kernel (interleaved dot chains, softmax, a weighted
+# sum over blocks of 32 output columns) promise bitwise equality with the
 # loops they replaced: candidate lists, fallback flags, stats, scores (sign
 # of zero included) and output rows, NaN by NaN-ness. Run the root suite and
 # the kernel's own oracle module optimized, under a pinned seed at both

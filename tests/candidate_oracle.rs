@@ -1,9 +1,11 @@
 //! 0-ulp oracle battery for ELSA's candidate path.
 //!
-//! Candidate selection scans a flat signature store with a branch-free
-//! compaction, and the candidate rows run one interleaved kernel
-//! (`elsa_linalg::ops::attend_candidates`). Both must reproduce, bit for bit,
-//! the code they replaced, which lives on here as the oracles:
+//! Candidate selection scans a flat signature store in blocks of 256 keys
+//! (Hamming distances first, then a branch-free compaction), and the
+//! candidate rows run one kernel (`elsa_linalg::ops::attend_candidates`:
+//! interleaved dot chains, then a weighted sum over blocks of 32 output
+//! columns). Both must reproduce, bit for bit, the code they replaced, which
+//! lives on here as the oracles:
 //!
 //! * [`oracle_select`] — one `BinaryHash` per key, `SimilarityLut::similarity`
 //!   per pair, `push` on `sim > t·‖K_max‖`, and a running first arg-max for
@@ -19,11 +21,14 @@
 //! kernel's own score-level oracle (sign of zero included) is the
 //! `candidate_oracle` module in `crates/elsa-linalg/src/ops.rs`.
 //!
-//! The drawn shapes stay below the fan-out gate, so they run serially at
-//! any worker count. One fixed case is large enough for selection and the
-//! candidate rows to cross it, and asserts that they do: run under
-//! `ELSA_THREADS=4`, it checks the fanned-out path. Hashing that fans out
-//! is checked against its own oracles by `tests/hash_oracle.rs`.
+//! The drawn shapes stay below the fan-out gate and inside one scan block,
+//! so they run serially at any worker count. A fixed grid of key counts
+//! around one and two scan blocks (255 to 513, with value rows spanning two
+//! column blocks and a remainder) covers the block edges. One fixed case is
+//! large enough for selection and the candidate rows to cross the gate, and
+//! asserts that they do: run under `ELSA_THREADS=4`, it checks the
+//! fanned-out path. Hashing that fans out is checked against its own
+//! oracles by `tests/hash_oracle.rs`.
 //!
 //! Reproduce a failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --release --test candidate_oracle`.
@@ -130,8 +135,9 @@ fn random_matrix(rng: &mut SeededRng, rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.standard_normal() as f32)
 }
 
-/// Square inputs of `n` tokens with the key matrix drawn as `kind` says.
-fn draw_inputs(rng: &mut SeededRng, n: usize, kind: Keys) -> AttentionInputs {
+/// Square inputs of `n` tokens, with value rows `dv` wide and the key
+/// matrix drawn as `kind` says.
+fn draw_inputs(rng: &mut SeededRng, n: usize, dv: usize, kind: Keys) -> AttentionInputs {
     let q = random_matrix(rng, n, D);
     let mut k = random_matrix(rng, n, D);
     match kind {
@@ -144,7 +150,7 @@ fn draw_inputs(rng: &mut SeededRng, n: usize, kind: Keys) -> AttentionInputs {
             }
         }
     }
-    AttentionInputs::new(q, k, random_matrix(rng, n, DV))
+    AttentionInputs::new(q, k, random_matrix(rng, n, dv))
 }
 
 /// The operator for threshold kind `t`: `−∞` (every key), learned at
@@ -152,7 +158,7 @@ fn draw_inputs(rng: &mut SeededRng, n: usize, kind: Keys) -> AttentionInputs {
 fn operator(params: ElsaParams, t: usize, rng: &mut SeededRng, n: usize) -> ElsaAttention {
     match t {
         0 => ElsaAttention::exact_fallback(params),
-        1 => ElsaAttention::learn(params, &[draw_inputs(rng, n, Keys::Normal)], 1.0),
+        1 => ElsaAttention::learn(params, &[draw_inputs(rng, n, DV, Keys::Normal)], 1.0),
         _ => ElsaAttention::with_threshold(params, 1e9),
     }
 }
@@ -163,6 +169,59 @@ fn oracle_keys(op: &ElsaAttention, keys: &Matrix) -> (Vec<BinaryHash>, Vec<f64>,
     let norms: Vec<f64> = keys.iter_rows().map(ops::norm).collect();
     let max_norm = norms.iter().copied().fold(0.0f64, f64::max);
     (hashes, norms, max_norm)
+}
+
+/// `Err(message())` unless `ok`.
+fn ensure(ok: bool, message: impl FnOnce() -> String) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(message())
+    }
+}
+
+/// Compares the preprocessing, selection at each of `limits` for every
+/// query, and the batch forward pass (lists, stats, output bits) of `op` on
+/// `inputs` with the oracles.
+fn check_selection_and_forward(op: &ElsaAttention, inputs: &AttentionInputs, limits: &[usize]) -> Result<(), String> {
+    let (n, n_q) = (inputs.num_keys(), inputs.num_queries());
+    let scale = op.params().scale();
+    let (hashes, norms, max_norm) = oracle_keys(op, inputs.key());
+    let query_hashes: Vec<BinaryHash> = inputs.query().iter_rows().map(|q| op.params().hasher().hash(q)).collect();
+
+    let pre = PreprocessedKeys::compute(op.params(), inputs.key());
+    let flat: Vec<u64> = hashes.iter().flat_map(|h| h.as_words().to_vec()).collect();
+    ensure(pre.signatures() == &flat[..], || "signature store".into())?;
+    ensure(f64_bits(pre.norms()) == f64_bits(&norms), || "norms".into())?;
+    ensure(pre.max_norm().to_bits() == max_norm.to_bits(), || "max norm".into())?;
+
+    for &limit in limits {
+        for (i, qh) in query_hashes.iter().enumerate() {
+            let got = op.select_candidates_bounded(qh, &pre, limit);
+            let want = oracle_select(op, qh, &hashes, &norms, max_norm, limit);
+            ensure(got == want, || format!("query {i}, limit {limit}: {got:?} vs {want:?}"))?;
+        }
+    }
+
+    let (out, stats) = op.forward(inputs);
+    let (lists, list_stats) = op.candidates(inputs);
+    let mut want_stats = SelectionStats {
+        total_pairs: n_q * n,
+        num_queries: n_q,
+        num_keys: n,
+        ..SelectionStats::default()
+    };
+    for (i, (list, qh)) in lists.iter().zip(&query_hashes).enumerate() {
+        let q = inputs.query().row(i);
+        let (cands, fallback) = oracle_select(op, qh, &hashes, &norms, max_norm, n);
+        want_stats.selected_pairs += cands.len();
+        want_stats.fallback_queries += usize::from(fallback);
+        let want = oracle_row(q, inputs.key(), inputs.value(), &cands, scale);
+        ensure(same_bits(out.row(i), &want), || format!("row {i}: {:?} vs {want:?}", out.row(i)))?;
+        ensure(list == &cands, || format!("list {i}: {list:?} vs {cands:?}"))?;
+    }
+    ensure(stats == want_stats, || format!("forward stats {stats:?} vs {want_stats:?}"))?;
+    ensure(list_stats == want_stats, || format!("candidate stats {list_stats:?} vs {want_stats:?}"))
 }
 
 props! {
@@ -182,44 +241,9 @@ props! {
         let mut rng = SeededRng::new(seed);
         let params = ElsaParams::new(SrpHasher::dense(k, D, &mut rng), 0.127, scale);
         let op = operator(params, threshold, &mut rng, n);
-        let inputs = draw_inputs(&mut rng, n, kind);
-        let (hashes, norms, max_norm) = oracle_keys(&op, inputs.key());
-
-        let pre = PreprocessedKeys::compute(op.params(), inputs.key());
-        let flat: Vec<u64> = hashes.iter().flat_map(|h| h.as_words().to_vec()).collect();
-        prop_assert_eq!(pre.signatures(), &flat[..]);
-        prop_assert_eq!(f64_bits(pre.norms()), f64_bits(&norms));
-        prop_assert_eq!(pre.max_norm().to_bits(), max_norm.to_bits());
-
-        for limit in [1, prime_at_most(n), n] {
-            for i in 0..n {
-                let qh = op.params().hasher().hash(inputs.query().row(i));
-                let got = op.select_candidates_bounded(&qh, &pre, limit);
-                let want = oracle_select(&op, &qh, &hashes, &norms, max_norm, limit);
-                prop_assert_eq!(&got, &want, "{kind:?}, k={k}, query {i}, limit {limit}");
-            }
-        }
-
-        let (out, stats) = op.forward(&inputs);
-        let (lists, list_stats) = op.candidates(&inputs);
-        let mut want_stats = SelectionStats {
-            total_pairs: n * n,
-            num_queries: n,
-            num_keys: n,
-            ..SelectionStats::default()
-        };
-        for (i, list) in lists.iter().enumerate() {
-            let q = inputs.query().row(i);
-            let qh = op.params().hasher().hash(q);
-            let (cands, fallback) = oracle_select(&op, &qh, &hashes, &norms, max_norm, n);
-            want_stats.selected_pairs += cands.len();
-            want_stats.fallback_queries += usize::from(fallback);
-            let want = oracle_row(q, inputs.key(), inputs.value(), &cands, scale);
-            prop_assert!(same_bits(out.row(i), &want), "{kind:?}, k={k}, row {i}: {:?} vs {want:?}", out.row(i));
-            prop_assert_eq!(list, &cands);
-        }
-        prop_assert_eq!(stats, want_stats);
-        prop_assert_eq!(list_stats, want_stats);
+        let inputs = draw_inputs(&mut rng, n, DV, kind);
+        let result = check_selection_and_forward(&op, &inputs, &[1, prime_at_most(n), n]);
+        prop_assert!(result.is_ok(), "{kind:?}, k={k}: {}", result.unwrap_err());
     }
 
     // Both session types — causal through `ElsaSession`, full-context
@@ -236,7 +260,7 @@ props! {
         let mut rng = SeededRng::new(seed);
         let params = ElsaParams::new(SrpHasher::dense(k, D, &mut rng), 0.127, scale);
         let op = operator(params, threshold, &mut rng, n);
-        let inputs = draw_inputs(&mut rng, n, kind);
+        let inputs = draw_inputs(&mut rng, n, DV, kind);
         let (hashes, norms, max_norm) = oracle_keys(&op, inputs.key());
 
         let (causal, causal_stats) = session::forward_causal(&op, &inputs);
@@ -277,7 +301,7 @@ props! {
     ) {
         let (kind, scale) = (KEY_KINDS[keys], SCALES[scale]);
         let mut rng = SeededRng::new(seed);
-        let base = draw_inputs(&mut rng, n, kind);
+        let base = draw_inputs(&mut rng, n, DV, kind);
         let queries = random_matrix(&mut rng, MAX_CANDIDATES + 1, D);
         let inputs = AttentionInputs::new(queries, base.key().clone(), base.value().clone());
         let lists: Vec<Vec<usize>> = (0..=MAX_CANDIDATES)
@@ -292,11 +316,42 @@ props! {
 }
 
 #[test]
+fn scan_block_edges_match_the_oracles() {
+    // Key counts around one and two scan blocks of 256, with limits on both
+    // sides of the first block's end, on both scan arms (one word and two),
+    // at every threshold kind, with and without a NaN key row. The value
+    // rows span two column blocks of the weighted sum and a remainder. The
+    // threshold is learned on 64 tokens, and only the first 16 queries of
+    // each invocation run, to keep the case cheap in a debug build.
+    for (case, n) in [255, 256, 257, 513].into_iter().enumerate() {
+        let limits: Vec<usize> = [1, 256, 257, n].into_iter().filter(|&l| l <= n).collect();
+        for k in [64, 65] {
+            for threshold in 0..3 {
+                for kind in [Keys::Normal, Keys::Special(f32::NAN)] {
+                    let mut rng = SeededRng::new((case * 1000 + k * 10 + threshold) as u64);
+                    let params = ElsaParams::new(SrpHasher::dense(k, D, &mut rng), 0.127, 0.25);
+                    let op = operator(params, threshold, &mut rng, 64);
+                    let full = draw_inputs(&mut rng, n, 65, kind);
+                    let inputs = AttentionInputs::new(
+                        full.query().row_slice(0..16),
+                        full.key().clone(),
+                        full.value().clone(),
+                    );
+                    if let Err(e) = check_selection_and_forward(&op, &inputs, &limits) {
+                        panic!("n={n}, k={k}, threshold kind {threshold}, {kind:?}: {e}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn identical_keys_fall_back_to_the_first_of_the_tied_keys() {
     let mut rng = SeededRng::new(7);
     let params = ElsaParams::new(SrpHasher::dense(64, D, &mut rng), 0.127, 1.0);
     let op = ElsaAttention::with_threshold(params, 1e9);
-    let inputs = draw_inputs(&mut rng, 9, Keys::Identical);
+    let inputs = draw_inputs(&mut rng, 9, DV, Keys::Identical);
     let (lists, stats) = op.candidates(&inputs);
     assert!(lists.iter().all(|c| c == &[0]), "{lists:?}");
     assert_eq!(stats.fallback_queries, 9);
@@ -308,11 +363,11 @@ fn forward_above_the_fan_out_gate_matches_the_oracles() {
     let mut rng = SeededRng::new(11);
     let params = ElsaParams::new(SrpHasher::dense(64, D, &mut rng), 0.127, 0.25);
     let op = operator(params, 1, &mut rng, n);
-    let inputs = draw_inputs(&mut rng, n, Keys::Normal);
+    let inputs = draw_inputs(&mut rng, n, DV, Keys::Normal);
     let (out, stats) = op.forward(&inputs);
-    // The call sites' work hints: 20 units per scanned key, two per element
-    // of a candidate's dot and axpy.
-    for work in [n * 20 * n, stats.selected_pairs * 2 * (D + DV)] {
+    // The call sites' work hints: 16 units per scanned key, two per element
+    // of a candidate's dot and weighted sum.
+    for work in [n * 16 * n, stats.selected_pairs * 2 * (D + DV)] {
         assert!(with_threads(4, || beneficial(work)), "work {work} no longer crosses the gate");
     }
     let (hashes, norms, max_norm) = oracle_keys(&op, inputs.key());
