@@ -178,9 +178,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::Request`] when a turn does not fit the
-    /// hardware or holds no query row at its appended positions (rejected
-    /// before any virtual time passes).
+    /// Returns [`RuntimeError::Request`] when a turn is malformed, does not
+    /// fit the hardware or holds no query row at its appended positions
+    /// (rejected before any virtual time passes; see
+    /// [`prepare_turns`]).
     ///
     /// # Panics
     ///

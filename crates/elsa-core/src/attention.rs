@@ -403,17 +403,39 @@ impl ElsaAttention {
         (vec![j], true)
     }
 
-    /// Computes candidate lists for every query of an invocation.
+    /// Computes candidate lists for every query of an invocation: the keys'
+    /// [`PreprocessedKeys::compute`], then
+    /// [`candidates_with`](Self::candidates_with).
+    #[must_use]
+    pub fn candidates(&self, inputs: &AttentionInputs) -> (Vec<Vec<usize>>, SelectionStats) {
+        self.candidates_with(inputs, &PreprocessedKeys::compute(&self.params, inputs.key()))
+    }
+
+    /// [`candidates`](Self::candidates) over keys already preprocessed:
+    /// `pre` holds the signatures and norms of exactly `inputs`' keys, made
+    /// by [`PreprocessedKeys::compute`] or carried over a session's earlier
+    /// turns by [`PreprocessedKeys::append`] (which reproduces `compute`
+    /// bit for bit). The keys are not hashed again.
     ///
-    /// Keys and then queries are hashed in one call each (the block kernels
-    /// of [`SrpHasher`]); per-query selection then fans out across worker
+    /// The queries are hashed in one call (the block kernels of
+    /// [`SrpHasher`]); per-query selection then fans out across worker
     /// threads when the invocation is large enough. Per-query results are
     /// collected in query order and the statistics are folded serially in
     /// that same order, so both outputs are bit-identical to the serial
     /// loop at any worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` holds another number of keys than `inputs`, or
+    /// signatures of another hash length than the operator's.
     #[must_use]
-    pub fn candidates(&self, inputs: &AttentionInputs) -> (Vec<Vec<usize>>, SelectionStats) {
-        let pre = PreprocessedKeys::compute(&self.params, inputs.key());
+    pub fn candidates_with(
+        &self,
+        inputs: &AttentionInputs,
+        pre: &PreprocessedKeys,
+    ) -> (Vec<Vec<usize>>, SelectionStats) {
+        assert_eq!(pre.len(), inputs.num_keys(), "preprocessed key count mismatch");
+        assert_eq!(pre.bits, self.params.hasher.k(), "hash length mismatch");
         let queries = self.params.hasher.hash_rows_flat(inputs.query());
         let words = self.params.hasher.words();
         let mut stats = SelectionStats {
@@ -428,7 +450,7 @@ impl ElsaAttention {
         // `AttentionInputs` holds at least one key, and both signatures come
         // from this operator's hasher.
         let select_one =
-            |i: usize| self.select_words(&queries[i * words..][..words], &pre, pre.len());
+            |i: usize| self.select_words(&queries[i * words..][..words], pre, pre.len());
         let per_query_results: Vec<(Vec<usize>, bool)> = if elsa_parallel::beneficial(work) {
             elsa_parallel::par_map_indexed(inputs.num_queries(), select_one)
         } else {

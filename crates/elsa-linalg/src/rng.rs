@@ -75,6 +75,14 @@ impl SeededRng {
         self.inner.standard_normal()
     }
 
+    /// Advances past `count` standard normals without computing them,
+    /// leaving the state `count` calls of
+    /// [`standard_normal`](Self::standard_normal) leave (see
+    /// [`TestRng::skip_normals`]).
+    pub fn skip_normals(&mut self, count: usize) {
+        self.inner.skip_normals(count);
+    }
+
     /// A normal deviate with the given mean and standard deviation.
     #[must_use]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {

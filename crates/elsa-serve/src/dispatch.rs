@@ -421,9 +421,10 @@ impl OnlineServer {
     ///
     /// # Errors
     ///
-    /// Same as [`OnlineServer::serve`]; a turn that holds no query row at
-    /// its appended positions is a [`RuntimeError::Request`] too, with
-    /// [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
+    /// Same as [`OnlineServer::serve`]; a malformed turn or one that holds
+    /// no query row at its appended positions is a [`RuntimeError::Request`]
+    /// too, with [`FitError::MalformedTurn`](elsa_sim::FitError::MalformedTurn)
+    /// or [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
     ///
     /// # Panics
     ///

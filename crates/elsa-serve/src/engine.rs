@@ -36,18 +36,23 @@
 //! precompute of every serving path and its only parallel stage: fanned
 //! out under an `elsa_parallel` work gate over sessions and returned in
 //! arrival order, so reports are bit-identical at any `ELSA_THREADS` no
-//! matter how many engines share the prepared slice.
+//! matter how many engines share the prepared slice. It computes only what
+//! a session's turns read: each context up to the longest prefix its turns
+//! read, and each key's hash and norm once per session, carried from turn
+//! to turn as the hardware's key hash and norm SRAMs keep them.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use elsa_attention::exact::AttentionInputs;
+use elsa_core::attention::PreprocessedKeys;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
 use elsa_runtime::RuntimeError;
 use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
-use elsa_workloads::sessions::{turn_inputs, turn_query_rows};
+use elsa_workloads::sessions::{slice_turn, turn_query_rows};
 use elsa_workloads::trace::TraceEntry;
 
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
@@ -100,27 +105,59 @@ fn collect_prepared(
     Ok(prepared)
 }
 
+/// The query rows `turn` runs, decided on its entry's shape before anything
+/// is materialized ([`turn_query_rows`]).
+fn turn_rows(turn: &SessionTurnRequest) -> Result<Range<usize>, FitError> {
+    let (prefix_len, appended) = (turn.prefix_len, turn.appended);
+    let n_real = turn.entry.pattern.n_real;
+    match turn_query_rows(n_real, turn.entry.pattern.n_queries, prefix_len, appended) {
+        None => Err(FitError::MalformedTurn { prefix_len, appended, n_real }),
+        Some(rows) if rows.is_empty() => Err(FitError::NoQueryRow { prefix_len, appended }),
+        Some(rows) => Ok(rows),
+    }
+}
+
 /// Precomputes every turn of a session trace: full-cost and cache-hit
-/// service seconds per turn.
+/// service seconds per turn, computing only what the turns read.
 ///
-/// A session's turns all slice one context, so the context is materialized
-/// once per session rather than once per turn. The turns are grouped by
-/// session, sessions in order of their first arrival, and the sessions fan
-/// out under an `elsa_parallel` work gate. A worker materializes one
-/// session's context, runs its turns in arrival order on slices of it, and
-/// drops it before the next session, so one context per worker is alive at
-/// a time. A turn whose entry differs from the context in hand materializes
-/// its own. Every turn's result is the per-turn computation's, bit for bit,
-/// and results come back in turn order, so they are identical at any
-/// `ELSA_THREADS`. A plain request is a single-turn session
+/// The turns are grouped by session, sessions in order of their first
+/// arrival, and the sessions fan out under an `elsa_parallel` work gate. A
+/// worker first decides each of its session's turns on the entry's shape
+/// ([`turn_query_rows`]): a malformed turn or one with no query row at its
+/// appended positions gets its error and reads nothing. The other turns run
+/// in arrival order. Consecutive ones on the same entry share one context,
+/// materialized once and only up to the longest prefix they read
+/// ([`TraceEntry::materialize_prefix`]). They also share one key
+/// preprocessing: the first turn that fits computes it for its prefix, and
+/// a later turn appends only its new keys
+/// ([`PreprocessedKeys::append`](elsa_core::attention::PreprocessedKeys::append)),
+/// as the hardware writes a decode step's key into its key hash and norm
+/// SRAMs, then runs [`ElsaAccelerator::try_run_with`]. A turn whose entry
+/// differs starts a new context, and one whose prefix is shorter than the
+/// keys in hand preprocesses its prefix afresh. Each worker drops its
+/// context before the next session, so one context per worker is alive at
+/// a time.
+///
+/// Every turn's result is the per-turn computation's (the whole
+/// invocation materialized, sliced by [`turn_inputs`](elsa_workloads::turn_inputs),
+/// run by [`ElsaAccelerator::try_run`]), bit for bit, and results come back
+/// in turn order, so they are identical at any `ELSA_THREADS`. A plain
+/// request is a single-turn session
 /// ([`SessionTrace::single_turn`](crate::SessionTrace::single_turn)), so
 /// this is the precompute of every serving path.
 ///
 /// # Errors
 ///
 /// Returns [`RuntimeError::Request`] for the first turn, in turn order,
-/// that does not fit the hardware or has no query row at its appended
-/// positions ([`FitError::NoQueryRow`]).
+/// that is malformed ([`FitError::MalformedTurn`]), has no query row at its
+/// appended positions ([`FitError::NoQueryRow`]), or does not fit the
+/// hardware.
+///
+/// # Panics
+///
+/// Panics if a turn's entry fails
+/// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate);
+/// a parsed trace never holds one.
 pub fn prepare_turns(
     accel: &ElsaAccelerator,
     accel_config: &AcceleratorConfig,
@@ -135,31 +172,64 @@ pub fn prepare_turns(
         });
         sessions[slot].push(i);
     }
-    let run_session = |s: usize| -> Vec<Result<PreparedRequest, FitError>> {
-        let mut context: Option<(TraceEntry, AttentionInputs)> = None;
+    let params = accel.operator().params();
+    let run_session = |s: usize| -> Vec<(usize, Result<PreparedRequest, FitError>)> {
         let mut runs = Vec::with_capacity(sessions[s].len());
+        let mut fitting = Vec::with_capacity(sessions[s].len());
         for &i in &sessions[s] {
-            let request = &turns[i];
-            let full = match context {
-                Some((entry, ref full)) if entry == request.entry => full,
-                _ => &context.insert((request.entry, request.entry.materialize())).1,
-            };
-            let (prefix_len, appended) = (request.prefix_len, request.appended);
-            if turn_query_rows(full, prefix_len, appended).is_empty() {
-                runs.push(Err(FitError::NoQueryRow { prefix_len, appended }));
-                continue;
+            match turn_rows(&turns[i]) {
+                Ok(rows) => fitting.push((i, rows)),
+                Err(source) => runs.push((i, Err(source))),
             }
-            let inputs = turn_inputs(full, prefix_len, appended);
-            runs.push(accel.try_run(&inputs).map(|run| {
-                let hit_cycles = run.cycles.total() - run.cycles.preprocessing
-                    + accel_config.preprocessing_cycles(appended);
-                PreparedRequest {
-                    service_s: run.cycles.seconds(accel_config),
-                    hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
-                    trips: guard_trips(&run),
-                    inputs,
+        }
+        let mut context: Option<(TraceEntry, AttentionInputs)> = None;
+        let mut carried: Option<PreprocessedKeys> = None;
+        for (k, (i, rows)) in fitting.iter().enumerate() {
+            let request = &turns[*i];
+            let context = match context {
+                Some((entry, ref full)) if entry == request.entry => full,
+                _ => {
+                    // This turn and the fitting turns after it on the same
+                    // entry read no key past the longest of their prefixes.
+                    let len = fitting[k..]
+                        .iter()
+                        .map(|(j, _)| &turns[*j])
+                        .take_while(|t| t.entry == request.entry)
+                        .map(|t| t.prefix_len)
+                        .fold(request.prefix_len, usize::max);
+                    carried = None;
+                    &context.insert((request.entry, request.entry.materialize_prefix(len))).1
                 }
-            }));
+            };
+            let inputs = slice_turn(context, rows.clone(), request.prefix_len);
+            let run = accel.try_check_fit(&inputs).and_then(|()| {
+                let keys = inputs.key();
+                let pre = match carried.take() {
+                    Some(mut pre) if pre.len() <= keys.rows() => {
+                        for r in pre.len()..keys.rows() {
+                            pre.append(params, keys.row(r));
+                        }
+                        pre
+                    }
+                    _ => PreprocessedKeys::compute(params, keys),
+                };
+                let run = accel.try_run_with(&inputs, &pre);
+                carried = Some(pre);
+                run
+            });
+            runs.push((
+                *i,
+                run.map(|run| {
+                    let hit_cycles = run.cycles.total() - run.cycles.preprocessing
+                        + accel_config.preprocessing_cycles(request.appended);
+                    PreparedRequest {
+                        service_s: run.cycles.seconds(accel_config),
+                        hit_service_s: hit_cycles as f64 * accel_config.cycle_time_s(),
+                        trips: guard_trips(&run),
+                        inputs,
+                    }
+                }),
+            ));
         }
         runs
     };
@@ -173,10 +243,8 @@ pub fn prepare_turns(
     // Back to turn order: every turn belongs to exactly one session.
     let mut runs: Vec<Option<Result<PreparedRequest, FitError>>> =
         std::iter::repeat_with(|| None).take(turns.len()).collect();
-    for (indices, results) in sessions.iter().zip(per_session) {
-        for (&i, run) in indices.iter().zip(results) {
-            runs[i] = Some(run);
-        }
+    for (i, run) in per_session.into_iter().flatten() {
+        runs[i] = Some(run);
     }
     collect_prepared(runs.into_iter().flatten().collect())
 }
@@ -683,7 +751,8 @@ mod tests {
     use elsa_fault::inject::corrupt_report;
     use elsa_fault::{CorruptionKind, FaultRates};
     use elsa_linalg::SeededRng;
-    use elsa_workloads::{DatasetKind, LongCtxKind, ModelKind, Workload};
+    use elsa_workloads::sessions::turn_inputs;
+    use elsa_workloads::{AttentionPatternConfig, DatasetKind, LongCtxKind, ModelKind, Workload};
 
     fn session_workload() -> Workload {
         Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M }
@@ -717,7 +786,7 @@ mod tests {
     }
 
     /// The per-turn precompute that `prepare_turns` replaced: every turn
-    /// materializes its own context.
+    /// materializes the whole invocation and preprocesses its own keys.
     fn per_turn_reference(
         accel: &ElsaAccelerator,
         accel_config: &AcceleratorConfig,
@@ -728,8 +797,13 @@ mod tests {
             .map(|request| {
                 let full = request.entry.materialize();
                 let (prefix_len, appended) = (request.prefix_len, request.appended);
-                if turn_query_rows(&full, prefix_len, appended).is_empty() {
-                    return Err(FitError::NoQueryRow { prefix_len, appended });
+                let (n_real, n_q) = (full.num_keys(), full.num_queries());
+                match turn_query_rows(n_real, n_q, prefix_len, appended) {
+                    None => return Err(FitError::MalformedTurn { prefix_len, appended, n_real }),
+                    Some(rows) if rows.is_empty() => {
+                        return Err(FitError::NoQueryRow { prefix_len, appended })
+                    }
+                    Some(_) => {}
                 }
                 let inputs = turn_inputs(&full, prefix_len, appended);
                 let run = accel.try_run(&inputs)?;
@@ -746,16 +820,14 @@ mod tests {
         collect_prepared(runs)
     }
 
-    #[test]
-    fn grouped_precompute_matches_the_per_turn_reference() {
-        let trace = interleaved_trace(6);
-        let (accel, config) = session_accelerator(200);
-        let want = per_turn_reference(&accel, &config, &trace.requests).expect("every turn fits");
+    /// Checks every field `prepare_turns` returns for `turns`, at one and
+    /// four workers, against [`per_turn_reference`].
+    fn assert_matches_the_per_turn_reference(turns: &[SessionTurnRequest], n_max: usize) {
+        let (accel, config) = session_accelerator(n_max);
+        let want = per_turn_reference(&accel, &config, turns).expect("every turn fits");
         for workers in [1, 4] {
-            let got = elsa_parallel::with_threads(workers, || {
-                prepare_turns(&accel, &config, &trace.requests)
-            })
-            .expect("every turn fits");
+            let got = elsa_parallel::with_threads(workers, || prepare_turns(&accel, &config, turns))
+                .expect("every turn fits");
             assert_eq!(got.len(), want.len());
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert_eq!(g.inputs, w.inputs, "turn {i}, {workers} workers");
@@ -764,6 +836,66 @@ mod tests {
                 assert_eq!(g.hit_service_s.to_bits(), w.hit_service_s.to_bits(), "turn {i}");
             }
         }
+    }
+
+    #[test]
+    fn grouped_precompute_matches_the_per_turn_reference() {
+        assert_matches_the_per_turn_reference(&interleaved_trace(6).requests, 200);
+    }
+
+    /// Sessions whose contexts are not read to the end by square turns
+    /// alone: fewer query rows than keys (long documents, retrieval), more
+    /// (a whole-invocation turn runs the extra rows), a prefill that is the
+    /// longest prefix of its session, a prefix shorter than the keys in
+    /// hand, and a session that changes entry and back.
+    #[test]
+    fn grouped_precompute_matches_the_reference_on_uneven_sessions() {
+        let mut rng = SeededRng::new(34);
+        let [document, retrieval] =
+            LongCtxKind::all().map(|kind| kind.record_trace(192, 1, &mut rng).entries[0]);
+        let wide = TraceEntry {
+            pattern: AttentionPatternConfig {
+                n_queries: 48,
+                ..AttentionPatternConfig::new(40, 64, 3, 2.0)
+            },
+            seed: 35,
+        };
+        let square =
+            |seed| TraceEntry { pattern: AttentionPatternConfig::new(32, 64, 4, 2.0), seed };
+        let (a, b) = (square(36), square(37));
+        let shapes = [
+            (0, document, 186, 186),
+            (1, retrieval, 189, 189),
+            (2, wide, 30, 30),
+            (0, document, 187, 1),
+            (3, wide, 37, 37),
+            (4, wide, 40, 40),
+            (1, retrieval, 190, 1),
+            (5, document, 192, 192),
+            (6, a, 20, 20),
+            (3, wide, 38, 1),
+            (6, a, 21, 1),
+            (7, a, 12, 12),
+            (0, document, 188, 1),
+            (6, a, 15, 15),
+            (7, b, 14, 14),
+            (7, a, 13, 1),
+        ];
+        let turns: Vec<SessionTurnRequest> = shapes
+            .iter()
+            .enumerate()
+            .map(|(id, &(session, entry, prefix_len, appended))| SessionTurnRequest {
+                id,
+                arrival_ns: id as u64,
+                deadline_ns: None,
+                session,
+                prefix_len,
+                appended,
+                last_turn: false,
+                entry,
+            })
+            .collect();
+        assert_matches_the_per_turn_reference(&turns, 200);
     }
 
     #[test]
@@ -783,29 +915,39 @@ mod tests {
         // 176..192, so a 100-token prefill of it has no query row.
         let document =
             LongCtxKind::LongDocument.record_trace(192, 1, &mut SeededRng::new(8)).entries[0];
-        for too_large in [true, false] {
+        let (accel, config) = session_accelerator(n_max);
+        // Too large for the hardware, no query row, and the three malformed
+        // shapes: a prefix past the invocation, nothing appended, and more
+        // appended than the prefix holds. Before any materialization, none
+        // of the last four may reach the generator.
+        for misfit_kind in 0..5 {
             let mut turns = trace.clone();
             for misfit in [late, early] {
-                if too_large {
-                    let session = turns[misfit].session;
-                    for t in turns.iter_mut().filter(|t| t.session == session) {
-                        t.entry.pattern.n_real = n_max + 1;
-                        t.entry.pattern.n_queries = n_max + 1;
+                let t = &mut turns[misfit];
+                match misfit_kind {
+                    0 => {
+                        let session = t.session;
+                        for t in turns.iter_mut().filter(|t| t.session == session) {
+                            t.entry.pattern.n_real = n_max + 1;
+                            t.entry.pattern.n_queries = n_max + 1;
+                        }
+                        turns[misfit].prefix_len = n_max + 1;
                     }
-                    turns[misfit].prefix_len = n_max + 1;
-                } else {
-                    let t = &mut turns[misfit];
-                    (t.entry, t.prefix_len, t.appended) = (document, 100, 100);
+                    1 => (t.entry, t.prefix_len, t.appended) = (document, 100, 100),
+                    2 => t.prefix_len = t.entry.pattern.n_real + 1,
+                    3 => t.appended = 0,
+                    _ => t.appended = t.prefix_len + 1,
                 }
             }
-            let (accel, config) = session_accelerator(n_max);
-            let want = per_turn_reference(&accel, &config, &turns).expect_err("two turns misfit");
-            let source = if too_large {
-                FitError::RequestTooLarge { n: n_max + 1, n_max }
-            } else {
-                FitError::NoQueryRow { prefix_len: 100, appended: 100 }
+            let t = &turns[early];
+            let (prefix_len, appended, n_real) = (t.prefix_len, t.appended, t.entry.pattern.n_real);
+            let source = match misfit_kind {
+                0 => FitError::RequestTooLarge { n: n_max + 1, n_max },
+                1 => FitError::NoQueryRow { prefix_len: 100, appended: 100 },
+                _ => FitError::MalformedTurn { prefix_len, appended, n_real },
             };
-            assert_eq!(want, RuntimeError::Request { index: early, source });
+            let want = per_turn_reference(&accel, &config, &turns).expect_err("two turns misfit");
+            assert_eq!(want, RuntimeError::Request { index: early, source }, "kind {misfit_kind}");
             for workers in [1, 4] {
                 let got =
                     elsa_parallel::with_threads(workers, || prepare_turns(&accel, &config, &turns));

@@ -1,6 +1,7 @@
 //! The assembled accelerator: algorithm + performance + energy in one call.
 
 use elsa_attention::exact::AttentionInputs;
+use elsa_core::attention::PreprocessedKeys;
 use elsa_core::{ElsaAttention, SelectionStats};
 use elsa_linalg::Matrix;
 
@@ -132,7 +133,34 @@ impl ElsaAccelerator {
     /// Returns [`FitError::RequestTooLarge`] or [`FitError::RequestDim`].
     pub fn try_run(&self, inputs: &AttentionInputs) -> Result<RunReport, FitError> {
         self.try_check_fit(inputs)?;
-        let (candidates, stats) = self.operator.candidates(inputs);
+        let pre = PreprocessedKeys::compute(self.operator.params(), inputs.key());
+        self.try_run_with(inputs, &pre)
+    }
+
+    /// [`try_run`](Self::try_run) over keys already preprocessed: `pre` holds
+    /// the signatures and norms of exactly `inputs`' keys, made by
+    /// [`PreprocessedKeys::compute`] or carried over a session's earlier
+    /// turns by [`PreprocessedKeys::append`], the software form of the key
+    /// hash / key norm SRAMs keeping a decode session's earlier keys. The
+    /// report is the one `try_run` returns, bit for bit: `try_run` is this
+    /// call after `compute`, and the cycle model still charges the
+    /// preprocessing of every key.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FitError::RequestTooLarge`] or [`FitError::RequestDim`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` holds another number of keys than `inputs`, or
+    /// signatures of another hash length than the operator's.
+    pub fn try_run_with(
+        &self,
+        inputs: &AttentionInputs,
+        pre: &PreprocessedKeys,
+    ) -> Result<RunReport, FitError> {
+        self.try_check_fit(inputs)?;
+        let (candidates, stats) = self.operator.candidates_with(inputs, pre);
         let output = elsa_attention::exact::attention_with_candidates(
             inputs,
             &candidates,

@@ -58,6 +58,18 @@ pub enum FitError {
         /// prefix_len`.
         appended: usize,
     },
+    /// A session turn's shape does not fit its invocation: it appends no
+    /// token (`appended == 0`), more tokens than its context holds
+    /// (`appended > prefix_len`), or its context runs past the invocation
+    /// (`prefix_len > n_real`).
+    MalformedTurn {
+        /// Context length after the turn.
+        prefix_len: usize,
+        /// Tokens the turn appends.
+        appended: usize,
+        /// Tokens of the invocation the turn slices.
+        n_real: usize,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -83,6 +95,11 @@ impl fmt::Display for FitError {
                 f,
                 "turn appending positions {}..{prefix_len} holds no query row",
                 prefix_len.saturating_sub(appended)
+            ),
+            FitError::MalformedTurn { prefix_len, appended, n_real } => write!(
+                f,
+                "malformed turn: appending {appended} tokens to reach {prefix_len} of an \
+                 invocation of {n_real} needs 1 <= appended <= prefix_len <= n"
             ),
         }
     }

@@ -176,6 +176,26 @@ impl TestRng {
         r * theta.cos()
     }
 
+    /// Advances past `count` standard normals without computing them: the
+    /// generator is left in the state `count` calls of
+    /// [`standard_normal`](Self::standard_normal) leave, spare included. A
+    /// held spare is skipped first, then every pair costs its two raw draws
+    /// and no `ln`, `sqrt`, `sin` or `cos`. Only an odd last normal is
+    /// computed, because its pair's spare must be held afterwards.
+    pub fn skip_normals(&mut self, count: usize) {
+        let mut left = count;
+        if left > 0 && self.cached_normal.take().is_some() {
+            left -= 1;
+        }
+        for _ in 0..left / 2 {
+            let _ = self.next_u64();
+            let _ = self.next_u64();
+        }
+        if left % 2 == 1 {
+            let _ = self.standard_normal();
+        }
+    }
+
     /// A normal deviate with the given mean and standard deviation.
     #[must_use]
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {

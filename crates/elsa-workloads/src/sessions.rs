@@ -84,30 +84,33 @@ pub fn record_sessions(workload: &Workload, count: usize, rng: &mut SeededRng) -
         .collect()
 }
 
-/// The query rows of the fully materialized invocation `full` that stand
-/// at a turn's appended positions `prefix_len - appended .. prefix_len`:
-/// the queries [`turn_inputs`] runs. Query row `i` stands at position
+/// The one row rule: the query rows a turn runs in an invocation of `n`
+/// keys and `n_q` query rows, those that stand at its appended positions
+/// `prefix_len - appended .. prefix_len`. Query row `i` stands at position
 /// `n − n_q + i` (the generator's convention; see
 /// [`TargetStructure::Local`](crate::synthetic::TargetStructure::Local)),
 /// so for a square invocation the rows and the positions coincide. The
-/// whole-invocation turn (`appended == n_real`) runs every query row. The
-/// range is empty when no query row stands at the appended positions.
+/// whole-invocation turn (`appended == n`) runs every query row. The range
+/// is empty when no query row stands at the appended positions.
 ///
-/// # Panics
+/// [`turn_inputs`] applies it to a materialized invocation's shape; a
+/// serving precompute applies it to a [`TraceEntry`]'s pattern before
+/// anything is materialized.
 ///
-/// Panics if `appended == 0`, `appended > prefix_len`, or `prefix_len`
-/// exceeds the invocation's length.
+/// Returns `None` for a malformed turn: `appended == 0`,
+/// `appended > prefix_len`, or `prefix_len > n`.
 #[must_use]
-pub fn turn_query_rows(full: &AttentionInputs, prefix_len: usize, appended: usize) -> Range<usize> {
-    assert!(appended > 0 && appended <= prefix_len, "bad turn shape");
-    let (n, n_q) = (full.num_keys(), full.num_queries());
-    assert!(prefix_len <= n, "prefix exceeds context");
-    let row = |position: usize| (position + n_q).saturating_sub(n);
-    if appended == n {
-        0..n_q
-    } else {
-        row(prefix_len - appended)..row(prefix_len)
+pub fn turn_query_rows(
+    n: usize,
+    n_q: usize,
+    prefix_len: usize,
+    appended: usize,
+) -> Option<Range<usize>> {
+    if appended == 0 || appended > prefix_len || prefix_len > n {
+        return None;
     }
+    let row = |position: usize| (position + n_q).saturating_sub(n);
+    Some(if appended == n { 0..n_q } else { row(prefix_len - appended)..row(prefix_len) })
 }
 
 /// The inputs for one turn, sliced from the session's fully materialized
@@ -125,10 +128,30 @@ pub fn turn_query_rows(full: &AttentionInputs, prefix_len: usize, appended: usiz
 /// positions.
 #[must_use]
 pub fn turn_inputs(full: &AttentionInputs, prefix_len: usize, appended: usize) -> AttentionInputs {
+    let rows = turn_query_rows(full.num_keys(), full.num_queries(), prefix_len, appended);
+    slice_turn(full, rows.expect("bad turn shape"), prefix_len)
+}
+
+/// A turn's inputs sliced from `context`: query rows `rows` and key/value
+/// rows `0..prefix_len`. `context` may be a prefix of the invocation
+/// ([`TraceEntry::materialize_prefix`](crate::trace::TraceEntry::materialize_prefix))
+/// when `rows` come from [`turn_query_rows`] over the invocation's own
+/// shape: a prefix keeps the invocation's row indices, not its shape.
+///
+/// # Panics
+///
+/// Panics if `rows` is empty or past `context`'s query rows, or
+/// `prefix_len` is 0 or past its keys.
+#[must_use]
+pub fn slice_turn(
+    context: &AttentionInputs,
+    rows: Range<usize>,
+    prefix_len: usize,
+) -> AttentionInputs {
     AttentionInputs::new(
-        full.query().row_slice(turn_query_rows(full, prefix_len, appended)),
-        full.key().row_slice(0..prefix_len),
-        full.value().row_slice(0..prefix_len),
+        context.query().row_slice(rows),
+        context.key().row_slice(0..prefix_len),
+        context.value().row_slice(0..prefix_len),
     )
 }
 

@@ -13,6 +13,8 @@
 use elsa_attention::exact::AttentionInputs;
 use elsa_linalg::{ops, Matrix, SeededRng};
 
+use crate::sessions::turn_query_rows;
+
 /// Where a query's planted target keys are drawn from.
 ///
 /// [`TargetStructure::Global`] is the original generator (targets uniform
@@ -133,28 +135,80 @@ impl AttentionPatternConfig {
         }
     }
 
+    /// Checks the generator's preconditions: positive dimensions, at least
+    /// one query row, `num_relevant` in `1..=n_real`, and under
+    /// [`TargetStructure::Local`] no more query rows than keys (queries
+    /// stand at document positions). [`generate_prefix`](Self::generate_prefix)
+    /// asserts them; the trace parser reports them per line.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated precondition.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.n_real == 0 || self.d == 0 {
+            return Err("dimensions must be positive");
+        }
+        if self.n_queries == 0 {
+            return Err("n_queries must be positive");
+        }
+        if !(1..=self.n_real).contains(&self.num_relevant) {
+            return Err("num_relevant must be in 1..=n_real");
+        }
+        if matches!(self.structure, TargetStructure::Local { .. }) && self.n_queries > self.n_real {
+            return Err(
+                "Local structure places queries at document positions: n_queries <= n_real",
+            );
+        }
+        Ok(())
+    }
+
     /// Generates one attention invocation (`Q` is `n_queries × d`; `K`, `V`
-    /// are `n × d`).
+    /// are `n × d`): the whole-invocation
+    /// [`generate_prefix`](Self::generate_prefix).
     ///
     /// # Panics
     ///
-    /// Panics if `n_queries == 0`, or if `n_queries > n_real` under
-    /// [`TargetStructure::Local`] (queries stand at document positions).
+    /// Panics if the configuration fails [`validate`](Self::validate).
     #[must_use]
     pub fn generate(&self, rng: &mut SeededRng) -> AttentionInputs {
+        self.generate_prefix(rng, self.n_real)
+    }
+
+    /// Generates the first `len` tokens of the invocation
+    /// [`generate`](Self::generate) draws from the same state: key and value
+    /// rows `0..len` and the query rows that stand below position `len`
+    /// (query row `i` stands at `n − n_q + i`; see [`turn_query_rows`]),
+    /// bit for bit the rows `generate` returns there.
+    ///
+    /// Every key row is drawn and kept until the queries are built, because
+    /// a query's planted targets may lie past `len` and its direction is a
+    /// sum of its target keys. The value rows past `len` are skipped with
+    /// [`SeededRng::skip_normals`] (two raw draws per pair of normals, no
+    /// transcendental call), so the query rows are drawn from the state
+    /// `generate` draws them from. Generation stops after the last query
+    /// row the prefix holds, so below `n_real` the generator is left short
+    /// of where `generate` leaves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`validate`](Self::validate), if
+    /// `len` is 0 or exceeds `n_real`, or if no query row stands below
+    /// `len`.
+    #[must_use]
+    pub fn generate_prefix(&self, rng: &mut SeededRng, len: usize) -> AttentionInputs {
+        if let Err(reason) = self.validate() {
+            panic!("{reason}");
+        }
         let n = self.n_real;
         let d = self.d;
-        assert!(self.n_queries > 0, "n_queries must be positive");
-        if matches!(self.structure, TargetStructure::Local { .. }) {
-            assert!(
-                self.n_queries <= n,
-                "Local structure places queries at document positions: n_queries <= n_real"
-            );
-        }
+        assert!((1..=n).contains(&len), "prefix length {len} outside 1..={n}");
+        let rows = turn_query_rows(n, self.n_queries, len, len).map_or(0, |rows| rows.end);
+        assert!(rows > 0, "no query row stands below position {len}");
         let keys = Matrix::from_fn(n, d, |_, _| rng.standard_normal() as f32);
-        let values = Matrix::from_fn(n, d, |_, _| rng.standard_normal() as f32);
-        let mut queries = Matrix::zeros(self.n_queries, d);
-        for i in 0..self.n_queries {
+        let values = Matrix::from_fn(len, d, |_, _| rng.standard_normal() as f32);
+        rng.skip_normals((n - len) * d);
+        let mut queries = Matrix::zeros(rows, d);
+        for i in 0..rows {
             let targets = self.sample_targets(i, rng);
             let mut direction = vec![0.0f32; d];
             for (rank, &t) in targets.iter().enumerate() {
@@ -176,7 +230,9 @@ impl AttentionPatternConfig {
                 *dst = (f64::from(src) * alpha) as f32;
             }
         }
-        AttentionInputs::new(queries, keys, values)
+        let mut keys = keys.into_vec();
+        keys.truncate(len * d);
+        AttentionInputs::new(queries, Matrix::from_vec(len, d, keys), values)
     }
 
     /// Generates a batch of independent invocations.
@@ -353,5 +409,23 @@ mod tests {
             ..AttentionPatternConfig::new(16, 8, 2, 1.0)
         };
         let _ = cfg.generate(&mut SeededRng::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "prefix length 17 outside 1..=16")]
+    fn rejects_a_prefix_past_the_invocation() {
+        let cfg = AttentionPatternConfig::new(16, 8, 2, 1.0);
+        let _ = cfg.generate_prefix(&mut SeededRng::new(0), 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "no query row stands below position 12")]
+    fn rejects_a_prefix_without_a_query_row() {
+        // Four query rows stand at positions 12..16.
+        let cfg = AttentionPatternConfig {
+            n_queries: 4,
+            ..AttentionPatternConfig::new(16, 8, 2, 1.0)
+        };
+        let _ = cfg.generate_prefix(&mut SeededRng::new(0), 12);
     }
 }

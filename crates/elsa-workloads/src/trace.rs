@@ -32,10 +32,33 @@ pub struct TraceEntry {
 }
 
 impl TraceEntry {
-    /// Regenerates the invocation.
+    /// Regenerates the invocation: the whole-invocation
+    /// [`materialize_prefix`](Self::materialize_prefix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern fails [`AttentionPatternConfig::validate`].
     #[must_use]
     pub fn materialize(&self) -> AttentionInputs {
-        self.pattern.generate(&mut SeededRng::new(self.seed))
+        self.materialize_prefix(self.pattern.n_real)
+    }
+
+    /// Regenerates the invocation's first `len` tokens
+    /// ([`AttentionPatternConfig::generate_prefix`] from this entry's seed):
+    /// key and value rows `0..len` and the query rows that stand below
+    /// position `len`, bit for bit those of [`materialize`](Self::materialize).
+    /// Every key row is still drawn, because a query's planted targets may
+    /// lie past `len`; the value rows past `len` and the query rows past the
+    /// prefix's last are not computed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern fails [`AttentionPatternConfig::validate`], if
+    /// `len` is 0 or exceeds `n_real`, or if no query row stands below
+    /// `len`.
+    #[must_use]
+    pub fn materialize_prefix(&self, len: usize) -> AttentionInputs {
+        self.pattern.generate_prefix(&mut SeededRng::new(self.seed), len)
     }
 }
 
@@ -129,7 +152,8 @@ impl WorkloadTrace {
     /// # Errors
     ///
     /// Returns [`ParseTraceError`] on a malformed header, unknown fields,
-    /// or unparsable values.
+    /// unparsable values, or an entry the generator cannot materialize
+    /// ([`AttentionPatternConfig::validate`]).
     pub fn from_text(text: &str) -> Result<Self, ParseTraceError> {
         let mut lines = text.lines();
         let header = lines.next().ok_or(ParseTraceError {
@@ -201,7 +225,9 @@ impl WorkloadTrace {
                 score_scale: score_scale.ok_or_else(|| missing("missing score_scale"))?,
                 structure,
             };
-            entries.push(TraceEntry { pattern, seed: seed.ok_or_else(|| missing("missing seed"))? });
+            let seed = seed.ok_or_else(|| missing("missing seed"))?;
+            pattern.validate().map_err(missing)?;
+            entries.push(TraceEntry { pattern, seed });
         }
         Ok(Self { d, entries })
     }
@@ -257,6 +283,22 @@ mod tests {
         assert!(err.message.contains("bad n"));
         let err = WorkloadTrace::from_text("elsa-trace v1 d=64\nn=10\n").unwrap_err();
         assert!(err.message.contains("missing"));
+        // Entries the generator cannot materialize fail on their own line:
+        // more relevant keys than keys, none, no keys, no queries, and more
+        // queries than document positions under `local=`.
+        let rest = "dominance=1 noise=0.5 score_scale=5 seed=1";
+        for (fields, reason) in [
+            ("n=10 relevant=20", "num_relevant"),
+            ("n=10 relevant=0", "num_relevant"),
+            ("n=0 relevant=1", "dimensions"),
+            ("n=10 relevant=2 queries=0", "n_queries"),
+            ("n=10 relevant=2 queries=20 local=4", "Local"),
+        ] {
+            let text = format!("elsa-trace v1 d=64\nn=16 relevant=2 {rest}\n{fields} {rest}\n");
+            let err = WorkloadTrace::from_text(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{fields}");
+            assert!(err.message.contains(reason), "{fields}: {}", err.message);
+        }
     }
 
     #[test]

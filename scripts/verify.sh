@@ -119,6 +119,20 @@ for threads in 1 4; do
   ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline -p elsa-linalg --lib candidate_oracle
 done
 
+echo "==> precompute oracle battery (fixed seed, ELSA_THREADS=1 and 4)"
+# The serving precompute computes only what a session's turns read: a
+# context generated only up to its longest prefix (the unread value rows
+# skipped at two raw draws per pair of normals) and key preprocessing
+# carried from turn to turn. Both promise the bits of what they replace:
+# the generator state of drawn normals, the rows of the whole invocation
+# sliced, and try_run's output, statistics, cycles and energy. Run
+# optimized under a pinned seed at both thread counts; the suite's one
+# prefill above the fan-out gate checks the fanned-out selection under
+# ELSA_THREADS=4.
+for threads in 1 4; do
+  ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline --test precompute_oracle
+done
+
 echo "==> artifact gate (every host-independent bin vs its committed file)"
 # Each bin below reads no wall clock and no host state: every value is a
 # seeded computation, an analytic FLOP/byte count, or a model cycle count on
