@@ -13,8 +13,8 @@
 use elsa_attention::TransformerConfig;
 use elsa_bench::table::{fmt, Table};
 use elsa_linalg::{Matrix, SeededRng};
-use elsa_runtime::DeepProxyModel;
 use elsa_workloads::tasks::ClassificationProbe;
+use elsa_workloads::DeepProxyModel;
 
 fn clustered_input(n: usize, d_model: usize, rng: &mut SeededRng) -> Matrix {
     let clusters = 8;

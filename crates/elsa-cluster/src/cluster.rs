@@ -31,11 +31,10 @@ use std::collections::BTreeMap;
 use elsa_core::ElsaAttention;
 use elsa_fault::{FaultPlan, HealthTracker, NodeFaultPlan};
 use elsa_linalg::ops;
-use elsa_runtime::RuntimeError;
 use elsa_serve::clock::ns_to_secs;
 use elsa_serve::{
     prepare_turns, session_admissions, unit_health, CacheConfig, NodeEngine, NodeParts,
-    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, ServeConfig, SessionBook,
+    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, RuntimeError, ServeConfig, SessionBook,
     SessionRegistry, SessionTrace, SessionTurnRequest,
 };
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
@@ -179,7 +178,9 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`RuntimeError::Request`] when a turn is malformed, does not
-    /// fit the hardware or holds no query row at its appended positions
+    /// fit the hardware, holds no query row at its appended positions or
+    /// carries an entry that fails
+    /// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)
     /// (rejected before any virtual time passes; see
     /// [`prepare_turns`]).
     ///
@@ -772,7 +773,8 @@ mod tests {
     use super::*;
     use elsa_core::attention::ElsaParams;
     use elsa_linalg::SeededRng;
-    use elsa_serve::BatchPolicy;
+    use elsa_serve::{BatchPolicy, SessionArrivalConfig};
+    use elsa_sim::FitError;
     use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
     fn operator(seed: u64) -> ElsaAttention {
@@ -806,5 +808,26 @@ mod tests {
         );
         let err = Cluster::try_new(config, operator(3)).expect_err("operator d = 64 vs 32");
         assert!(err.to_string().contains("does not fit hardware d"));
+    }
+
+    #[test]
+    fn serve_rejects_an_entry_the_generator_cannot_build_without_panicking() {
+        // `SessionTrace`'s fields are public, so a hand-built turn can carry
+        // an entry that no parsed trace holds: more relevant keys than keys.
+        let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
+        let arrivals = SessionArrivalConfig {
+            lambda_per_s: 5_000.0,
+            sessions: 4,
+            slo_ns: None,
+            max_decode_turns: Some(2),
+        };
+        let mut trace = SessionTrace::generate(&workload, &arrivals, &mut SeededRng::new(5));
+        let index = trace.requests.len() / 2;
+        let pattern = &mut trace.requests[index].entry.pattern;
+        pattern.num_relevant = pattern.n_real + 10;
+        let config = ClusterConfig::baseline(2, accel(), ServeConfig::default());
+        let err = Cluster::new(config, operator(7)).serve(&trace).expect_err("invalid entry");
+        let source = FitError::InvalidEntry { reason: "num_relevant must be in 1..=n_real" };
+        assert_eq!(err, RuntimeError::Request { index, source });
     }
 }

@@ -217,7 +217,6 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
     "elsa-linalg",
     "elsa-parallel",
     "elsa-pool",
-    "elsa-runtime",
     "elsa-serve",
     "elsa-sim",
     "elsa-sparse",
@@ -231,8 +230,7 @@ pub const ENTROPY_EXEMPT_CRATES: &[&str] = &["elsa-bench", "elsa-testkit"];
 /// Serving-path crates where P1 bans panicking constructs in non-test code.
 /// `elsa-pool` sits on the same comparison path as the serving stack, so it
 /// holds to the same policy (asserts on contract violations only).
-pub const PANIC_POLICY_CRATES: &[&str] =
-    &["elsa-cluster", "elsa-pool", "elsa-runtime", "elsa-serve"];
+pub const PANIC_POLICY_CRATES: &[&str] = &["elsa-cluster", "elsa-pool", "elsa-serve"];
 
 /// The approved homes for ordered float-reduction helpers: F1 does not
 /// apply inside them, because this is where the one blessed accumulation
@@ -254,9 +252,9 @@ pub const COST_MODEL_MODULES: &[(&str, &str)] = &[
 
 /// Crates whose public panicking APIs must pair with `try_*` siblings (C1)
 /// and whose functions may not call hidden-panic helpers (P2). `elsa-pool`
-/// holds to P1 but predates the try-convention, so C1/P2 start with the
-/// three crates that established it (PR 3/4/8).
-pub const TRY_API_CRATES: &[&str] = &["elsa-cluster", "elsa-runtime", "elsa-serve"];
+/// holds to P1 but predates the try-convention, so C1/P2 cover the two
+/// crates that established it.
+pub const TRY_API_CRATES: &[&str] = &["elsa-cluster", "elsa-serve"];
 
 /// Integer types a cast *into* can lose bits: A1 flags `as <ty>` for these
 /// inside cost modules. Widening to `u128`/`i128` (the headroom types) and
@@ -1008,21 +1006,21 @@ mod tests {
 
     #[test]
     fn p1_flags_panicking_constructs_in_serving_crates() {
-        assert_eq!(unwaived("elsa-runtime", "let v = x.unwrap();").len(), 1);
+        assert_eq!(unwaived("elsa-serve", "let v = x.unwrap();").len(), 1);
         assert_eq!(unwaived("elsa-serve", "let v = x.expect(\"m\");").len(), 1);
-        assert_eq!(unwaived("elsa-runtime", "panic!(\"boom\");").len(), 1);
+        assert_eq!(unwaived("elsa-serve", "panic!(\"boom\");").len(), 1);
         assert_eq!(unwaived("elsa-serve", "todo!()").len(), 1);
-        assert_eq!(unwaived("elsa-runtime", "unimplemented!()").len(), 1);
+        assert_eq!(unwaived("elsa-serve", "unimplemented!()").len(), 1);
     }
 
     #[test]
     fn p1_ignores_non_panicking_lookalikes() {
-        assert!(unwaived("elsa-runtime", "let v = x.unwrap_or(0);").is_empty());
-        assert!(unwaived("elsa-runtime", "let v = x.unwrap_or_else(|| 0);").is_empty());
-        assert!(unwaived("elsa-runtime", "let v = x.unwrap_or_default();").is_empty());
+        assert!(unwaived("elsa-serve", "let v = x.unwrap_or(0);").is_empty());
+        assert!(unwaived("elsa-serve", "let v = x.unwrap_or_else(|| 0);").is_empty());
+        assert!(unwaived("elsa-serve", "let v = x.unwrap_or_default();").is_empty());
         assert!(unwaived("elsa-serve", "std::panic::catch_unwind(f)").is_empty());
         // `expect` not as a method call (no preceding dot) is not flagged.
-        assert!(unwaived("elsa-runtime", "fn expect(x: u32) {}").is_empty());
+        assert!(unwaived("elsa-serve", "fn expect(x: u32) {}").is_empty());
     }
 
     #[test]
@@ -1034,12 +1032,12 @@ mod tests {
     #[test]
     fn p1_skips_test_modules_and_test_fns() {
         let src = "#[cfg(test)]\nmod tests {\n    fn helper() { x.unwrap(); }\n}\n";
-        assert!(unwaived("elsa-runtime", src).is_empty());
+        assert!(unwaived("elsa-serve", src).is_empty());
         let src = "#[test]\nfn t() { x.unwrap(); }\n";
-        assert!(unwaived("elsa-runtime", src).is_empty());
+        assert!(unwaived("elsa-serve", src).is_empty());
         // …but code before/after the region is still scanned.
         let src = "fn live() { a.unwrap(); }\n#[cfg(test)]\nmod tests { fn t() { b.unwrap(); } }\n";
-        let hits = unwaived("elsa-runtime", src);
+        let hits = unwaived("elsa-serve", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].line, 1);
     }
@@ -1047,27 +1045,27 @@ mod tests {
     #[test]
     fn p1_does_not_skip_cfg_not_test() {
         let src = "#[cfg(not(test))]\nfn live() { x.unwrap(); }\n";
-        assert_eq!(unwaived("elsa-runtime", src).len(), 1);
+        assert_eq!(unwaived("elsa-serve", src).len(), 1);
     }
 
     #[test]
     fn p1_waiver_on_same_line_and_line_above() {
         let same = "let v = x.unwrap(); // elsa-lint: allow(panic-policy) reason=\"invariant\"";
-        let (findings, _) = run("elsa-runtime", same);
+        let (findings, _) = run("elsa-serve", same);
         assert_eq!(findings.len(), 1);
         assert!(findings[0].waived.is_some());
         let above = "// elsa-lint: allow(panic-policy) reason=\"invariant\"\nlet v = x.unwrap();";
-        let (findings, _) = run("elsa-runtime", above);
+        let (findings, _) = run("elsa-serve", above);
         assert!(findings[0].waived.is_some());
         // Two lines away: not covered.
         let far = "// elsa-lint: allow(panic-policy) reason=\"invariant\"\n\nlet v = x.unwrap();";
-        let (findings, _) = run("elsa-runtime", far);
+        let (findings, _) = run("elsa-serve", far);
         assert!(findings.iter().any(|f| f.waived.is_none()));
     }
 
     #[test]
     fn p1_immune_to_strings_and_comments() {
-        assert!(unwaived("elsa-runtime", "let s = \"x.unwrap()\"; // .unwrap()").is_empty());
+        assert!(unwaived("elsa-serve", "let s = \"x.unwrap()\"; // .unwrap()").is_empty());
         assert!(unwaived("elsa-serve", "let s = r#\"panic!(\"x\")\"#;").is_empty());
     }
 
@@ -1111,7 +1109,7 @@ mod tests {
         let doc = "//! // elsa-lint: allow(panic-policy) reason=\"example\"\n\
                    /// elsa-lint: allow(bogus-rule)\n\
                    let v = x.unwrap();";
-        let (findings, waivers) = run("elsa-runtime", doc);
+        let (findings, waivers) = run("elsa-serve", doc);
         assert!(waivers.is_empty());
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, RuleId::PanicPolicy);
@@ -1141,7 +1139,7 @@ mod tests {
     fn rule_filtering_disables_other_rules() {
         let only_p1 = RuleSet::only(&[RuleId::PanicPolicy]);
         let (findings, _) = check_source(
-            "elsa-runtime",
+            "elsa-serve",
             "t.rs",
             b"let t = Instant::now(); let v = x.unwrap();",
             &only_p1,
@@ -1152,7 +1150,7 @@ mod tests {
 
     #[test]
     fn findings_render_with_file_line_and_rule() {
-        let hits = unwaived("elsa-runtime", "let v = x.unwrap();");
+        let hits = unwaived("elsa-serve", "let v = x.unwrap();");
         let rendered = hits[0].render();
         assert!(rendered.starts_with("test.rs:1:"), "{rendered}");
         assert!(rendered.contains("[P1 panic-policy]"), "{rendered}");

@@ -227,7 +227,7 @@ pub fn drive(v: &[u64]) -> u64 {
 
 #[test]
 fn p2_flags_call_into_undocumented_panicking_helper() {
-    let findings = model_findings("elsa-runtime", "src/golden_p2.rs", P2_POSITIVE);
+    let findings = model_findings("elsa-serve", "src/golden_p2.rs", P2_POSITIVE);
     let p2 = only_rule(&findings, RuleId::PanicReachability);
     assert_eq!(p2.len(), 1, "expected one P2 finding, got: {findings:?}");
     assert!(p2[0].waived.is_none());
@@ -236,7 +236,7 @@ fn p2_flags_call_into_undocumented_panicking_helper() {
 
 #[test]
 fn p2_waiver_suppresses_the_finding() {
-    let findings = model_findings("elsa-runtime", "src/golden_p2.rs", P2_WAIVED);
+    let findings = model_findings("elsa-serve", "src/golden_p2.rs", P2_WAIVED);
     let p2 = only_rule(&findings, RuleId::PanicReachability);
     assert_eq!(p2.len(), 1);
     assert_eq!(p2[0].waived.as_deref(), Some("golden waived case"));
@@ -244,7 +244,7 @@ fn p2_waiver_suppresses_the_finding() {
 
 #[test]
 fn p2_documented_panics_section_on_callee_clears_the_finding() {
-    let findings = model_findings("elsa-runtime", "src/golden_p2.rs", P2_DOCUMENTED);
+    let findings = model_findings("elsa-serve", "src/golden_p2.rs", P2_DOCUMENTED);
     assert!(
         only_rule(&findings, RuleId::PanicReachability).is_empty(),
         "a `# Panics` contract on the callee clears P2: {findings:?}"

@@ -53,7 +53,7 @@ props! {
             "impl Display for W {\n    fn fmt(&self, f: &mut F) -> R { self.inner.fmt(f) }\n}",
         ];
         let src = snippets[n % snippets.len()];
-        let model = parse_file("elsa-runtime", "snippet.rs", src.as_bytes());
+        let model = parse_file("elsa-serve", "snippet.rs", src.as_bytes());
         prop_assert!(!model.items.is_empty(), "no items parsed from {src:?}");
         for item in &model.items {
             for call in &item.calls {

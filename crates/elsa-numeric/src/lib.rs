@@ -49,11 +49,9 @@
 pub mod adder_tree;
 pub mod cfloat;
 pub mod fixed;
-pub mod guard;
 pub mod lut;
 
 pub use adder_tree::AdderTree;
 pub use cfloat::CustomFloat;
 pub use fixed::{Fixed, FixedSpec, HashFixed, QkvFixed};
-pub use guard::{ensure_finite, NumericFault, SaturationCounter};
 pub use lut::{CosLut, ExpUnit, ReciprocalUnit, SqrtUnit};

@@ -15,7 +15,7 @@
 //! ([`dispatch`](crate::dispatch)), which decides when a bucket is rich
 //! enough (`max_batch`) or old enough (`max_wait_ns`) to go.
 
-use elsa_runtime::RuntimeError;
+use crate::error::RuntimeError;
 
 /// How a formed batch is charged to the accelerator pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -48,13 +48,13 @@ use elsa_core::ElsaAttention;
 use elsa_fault::FaultPlan;
 use elsa_linalg::ops;
 use elsa_linalg::reduce::sum_f64;
-use elsa_runtime::RuntimeError;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
 use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
 use crate::engine::{prepare_turns, session_admissions, unit_health, NodeEngine, SessionBook};
+use crate::error::RuntimeError;
 use crate::queue::Backpressure;
 use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTrace};
 
@@ -393,7 +393,10 @@ impl OnlineServer {
     ///
     /// Returns [`RuntimeError::NoHealthyUnits`] when the fault plan killed
     /// every unit, or [`RuntimeError::Request`] when a request does not fit
-    /// the hardware (the trace is rejected before any virtual time passes).
+    /// the hardware or its entry fails
+    /// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)
+    /// ([`FitError::InvalidEntry`](elsa_sim::FitError::InvalidEntry)); the
+    /// trace is rejected before any virtual time passes.
     ///
     /// # Panics
     ///
@@ -421,10 +424,11 @@ impl OnlineServer {
     ///
     /// # Errors
     ///
-    /// Same as [`OnlineServer::serve`]; a malformed turn or one that holds
-    /// no query row at its appended positions is a [`RuntimeError::Request`]
-    /// too, with [`FitError::MalformedTurn`](elsa_sim::FitError::MalformedTurn)
-    /// or [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
+    /// Same as [`OnlineServer::serve`], an invalid entry included; a
+    /// malformed turn or one that holds no query row at its appended
+    /// positions is a [`RuntimeError::Request`] too, with
+    /// [`FitError::MalformedTurn`](elsa_sim::FitError::MalformedTurn) or
+    /// [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
     ///
     /// # Panics
     ///

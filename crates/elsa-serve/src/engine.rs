@@ -49,7 +49,6 @@ use elsa_core::attention::PreprocessedKeys;
 use elsa_fault::{FaultPlan, HealthSnapshot, HealthTracker, SATURATION_LIMIT};
 use elsa_linalg::reduce::sum_f64;
 use elsa_linalg::Matrix;
-use elsa_runtime::RuntimeError;
 use elsa_sim::cycle::simulate_execution_base;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator, FitError, RunReport};
 use elsa_workloads::sessions::{slice_turn, turn_query_rows};
@@ -58,6 +57,7 @@ use elsa_workloads::trace::TraceEntry;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::{ns_to_secs, VirtualClock};
 use crate::dispatch::{OnlineRecord, Outcome, ServeConfig};
+use crate::error::RuntimeError;
 use crate::queue::{AdmissionQueue, Backpressure, QueuedRequest};
 use crate::session::{CacheStats, SessionRegistry, SessionTurnRequest};
 
@@ -105,15 +105,20 @@ fn collect_prepared(
     Ok(prepared)
 }
 
-/// The query rows `turn` runs, decided on its entry's shape before anything
-/// is materialized ([`turn_query_rows`]).
+/// The query rows `turn` runs, decided on its entry before anything is
+/// materialized: first the turn's shape ([`turn_query_rows`]), then whether
+/// the entry can be generated at all
+/// ([`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)).
 fn turn_rows(turn: &SessionTurnRequest) -> Result<Range<usize>, FitError> {
     let (prefix_len, appended) = (turn.prefix_len, turn.appended);
     let n_real = turn.entry.pattern.n_real;
     match turn_query_rows(n_real, turn.entry.pattern.n_queries, prefix_len, appended) {
         None => Err(FitError::MalformedTurn { prefix_len, appended, n_real }),
         Some(rows) if rows.is_empty() => Err(FitError::NoQueryRow { prefix_len, appended }),
-        Some(rows) => Ok(rows),
+        Some(rows) => match turn.entry.pattern.validate() {
+            Ok(()) => Ok(rows),
+            Err(reason) => Err(FitError::InvalidEntry { reason }),
+        },
     }
 }
 
@@ -123,11 +128,13 @@ fn turn_rows(turn: &SessionTurnRequest) -> Result<Range<usize>, FitError> {
 /// The turns are grouped by session, sessions in order of their first
 /// arrival, and the sessions fan out under an `elsa_parallel` work gate. A
 /// worker first decides each of its session's turns on the entry's shape
-/// ([`turn_query_rows`]): a malformed turn or one with no query row at its
-/// appended positions gets its error and reads nothing. The other turns run
-/// in arrival order. Consecutive ones on the same entry share one context,
-/// materialized once and only up to the longest prefix they read
-/// ([`TraceEntry::materialize_prefix`]). They also share one key
+/// ([`turn_query_rows`]) and then on the entry itself
+/// ([`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)):
+/// a malformed turn, one with no query row at its appended positions and
+/// one whose entry cannot be generated get their error and read nothing.
+/// The other turns run in arrival order. Consecutive ones on the same entry
+/// share one context, materialized once and only up to the longest prefix
+/// they read ([`TraceEntry::materialize_prefix`]). They also share one key
 /// preprocessing: the first turn that fits computes it for its prefix, and
 /// a later turn appends only its new keys
 /// ([`PreprocessedKeys::append`](elsa_core::attention::PreprocessedKeys::append)),
@@ -150,14 +157,10 @@ fn turn_rows(turn: &SessionTurnRequest) -> Result<Range<usize>, FitError> {
 ///
 /// Returns [`RuntimeError::Request`] for the first turn, in turn order,
 /// that is malformed ([`FitError::MalformedTurn`]), has no query row at its
-/// appended positions ([`FitError::NoQueryRow`]), or does not fit the
-/// hardware.
-///
-/// # Panics
-///
-/// Panics if a turn's entry fails
-/// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate);
-/// a parsed trace never holds one.
+/// appended positions ([`FitError::NoQueryRow`]), has an entry that fails
+/// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)
+/// ([`FitError::InvalidEntry`]; a parsed trace never holds one), or does
+/// not fit the hardware.
 pub fn prepare_turns(
     accel: &ElsaAccelerator,
     accel_config: &AcceleratorConfig,
@@ -795,9 +798,9 @@ mod tests {
         let runs = turns
             .iter()
             .map(|request| {
-                let full = request.entry.materialize();
                 let (prefix_len, appended) = (request.prefix_len, request.appended);
-                let (n_real, n_q) = (full.num_keys(), full.num_queries());
+                let pattern = request.entry.pattern;
+                let (n_real, n_q) = (pattern.n_real, pattern.n_queries);
                 match turn_query_rows(n_real, n_q, prefix_len, appended) {
                     None => return Err(FitError::MalformedTurn { prefix_len, appended, n_real }),
                     Some(rows) if rows.is_empty() => {
@@ -805,6 +808,8 @@ mod tests {
                     }
                     Some(_) => {}
                 }
+                pattern.validate().map_err(|reason| FitError::InvalidEntry { reason })?;
+                let full = request.entry.materialize();
                 let inputs = turn_inputs(&full, prefix_len, appended);
                 let run = accel.try_run(&inputs)?;
                 let hit_cycles = run.cycles.total() - run.cycles.preprocessing
@@ -916,11 +921,12 @@ mod tests {
         let document =
             LongCtxKind::LongDocument.record_trace(192, 1, &mut SeededRng::new(8)).entries[0];
         let (accel, config) = session_accelerator(n_max);
-        // Too large for the hardware, no query row, and the three malformed
-        // shapes: a prefix past the invocation, nothing appended, and more
-        // appended than the prefix holds. Before any materialization, none
-        // of the last four may reach the generator.
-        for misfit_kind in 0..5 {
+        // Too large for the hardware, no query row, the three malformed
+        // shapes (a prefix past the invocation, nothing appended, and more
+        // appended than the prefix holds) and an entry the generator
+        // rejects. Before any materialization, none of the last five may
+        // reach the generator.
+        for misfit_kind in 0..6 {
             let mut turns = trace.clone();
             for misfit in [late, early] {
                 let t = &mut turns[misfit];
@@ -936,7 +942,8 @@ mod tests {
                     1 => (t.entry, t.prefix_len, t.appended) = (document, 100, 100),
                     2 => t.prefix_len = t.entry.pattern.n_real + 1,
                     3 => t.appended = 0,
-                    _ => t.appended = t.prefix_len + 1,
+                    4 => t.appended = t.prefix_len + 1,
+                    _ => t.entry.pattern.num_relevant = t.entry.pattern.n_real + 10,
                 }
             }
             let t = &turns[early];
@@ -944,6 +951,7 @@ mod tests {
             let source = match misfit_kind {
                 0 => FitError::RequestTooLarge { n: n_max + 1, n_max },
                 1 => FitError::NoQueryRow { prefix_len: 100, appended: 100 },
+                5 => FitError::InvalidEntry { reason: "num_relevant must be in 1..=n_real" },
                 _ => FitError::MalformedTurn { prefix_len, appended, n_real },
             };
             let want = per_turn_reference(&accel, &config, &turns).expect_err("two turns misfit");

@@ -34,6 +34,8 @@
 //!   emitting one [`OnlineRecord`] per arrival and a [`ServeReport`] with
 //!   completion and queue-delay percentiles, SLO attainment, shed/timeout
 //!   accounting, and per-bucket occupancy.
+//! * [`error`] — [`RuntimeError`], the typed error every serving entry
+//!   point returns instead of panicking on a caller's mistake.
 //! * [`session`] — multi-turn decode serving: replayable [`SessionTrace`]s
 //!   (each arrival is the next turn of a live session, with session
 //!   affinity in the batcher), plus the bounded decode cache — a
@@ -63,6 +65,7 @@ pub mod batcher;
 pub mod clock;
 pub mod dispatch;
 pub mod engine;
+pub mod error;
 pub mod estimator;
 pub mod queue;
 pub mod session;
@@ -76,6 +79,7 @@ pub use engine::{
     prepare_turns, session_admissions, unit_health, NodeEngine, NodeParts, PreparedRequest,
     SessionBook,
 };
+pub use error::RuntimeError;
 pub use estimator::ServiceEstimator;
 pub use queue::{AdmissionQueue, Backpressure, QueuedRequest};
 pub use session::{

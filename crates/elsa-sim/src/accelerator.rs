@@ -78,7 +78,7 @@ impl ElsaAccelerator {
 
     /// Non-panicking [`new`](Self::new): rejects an operator/hardware misfit
     /// as a typed error instead of crashing, so deployment-time validation
-    /// can be routed to the caller (the serving stack in `elsa-runtime`
+    /// can be routed to the caller (the serving stack in `elsa-serve`
     /// builds on this).
     ///
     /// # Errors

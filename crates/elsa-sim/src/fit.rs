@@ -4,7 +4,7 @@
 //! incoming invocation did not fit the configured hardware. A production
 //! serving stack cannot afford that: a single malformed request or a
 //! mis-deployed operator must surface as a recoverable error the dispatcher
-//! can route around (see `elsa-runtime` and `elsa-fault`). [`FitError`]
+//! can route around (see `elsa-serve` and `elsa-fault`). [`FitError`]
 //! carries every way an operator, configuration, or invocation can fail to
 //! fit; the panicking constructors remain as thin wrappers for callers that
 //! have already validated their inputs.
@@ -70,6 +70,14 @@ pub enum FitError {
         /// Tokens of the invocation the turn slices.
         n_real: usize,
     },
+    /// A session turn's invocation cannot be generated: its recorded
+    /// pattern fails the workload generator's preconditions
+    /// (`AttentionPatternConfig::validate` in `elsa-workloads`), for example
+    /// more relevant keys per query than the invocation has keys.
+    InvalidEntry {
+        /// The violated precondition, as the validator states it.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for FitError {
@@ -101,6 +109,7 @@ impl fmt::Display for FitError {
                 "malformed turn: appending {appended} tokens to reach {prefix_len} of an \
                  invocation of {n_real} needs 1 <= appended <= prefix_len <= n"
             ),
+            FitError::InvalidEntry { reason } => write!(f, "invalid invocation entry: {reason}"),
         }
     }
 }
@@ -122,6 +131,8 @@ mod tests {
         assert!(banks.to_string().contains("banks"));
         let dim = FitError::RequestDim { input_d: 32, hardware_d: 64 };
         assert!(dim.to_string().contains("head dimension mismatch"));
+        let entry = FitError::InvalidEntry { reason: "num_relevant must be in 1..=n_real" };
+        assert!(entry.to_string().contains("num_relevant must be in 1..=n_real"));
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod cost;
 pub mod cycle;
 pub mod fit;
 pub mod functional;
-pub mod timeline;
 
 pub use accelerator::{ElsaAccelerator, RunReport};
 pub use arbiter::{ArbiterPolicy, BankDrainReport};
@@ -41,4 +40,3 @@ pub use config::AcceleratorConfig;
 pub use cost::{AreaPowerTable, EnergyBreakdown};
 pub use cycle::CycleReport;
 pub use fit::FitError;
-pub use timeline::PipelineTimeline;

@@ -22,6 +22,10 @@
 //!   baseline" framing;
 //! * [`workload`] — the twelve model–dataset combinations of the evaluation
 //!   and batch generation for them;
+//! * [`deep`] — [`DeepProxyModel`], a stack of transformer layers whose
+//!   attention sub-layers run exactly or through per-sub-layer calibrated
+//!   ELSA operators, so quality is measured at the top of a deep residual
+//!   stack;
 //! * [`trace`] — replayable plain-text traces pinning down exactly which
 //!   invocations an experiment ran;
 //! * [`sessions`] — multi-turn decode schedules (prompt prefill + one turn
@@ -38,6 +42,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod datasets;
+pub mod deep;
 pub mod fleet;
 pub mod longctx;
 pub mod models;
@@ -48,6 +53,7 @@ pub mod trace;
 pub mod workload;
 
 pub use datasets::DatasetKind;
+pub use deep::DeepProxyModel;
 pub use fleet::FleetMix;
 pub use longctx::{LengthMix, LongCtxKind};
 pub use models::ModelKind;

@@ -446,6 +446,39 @@ mod tests {
                     err.message
                 );
             }
+
+            // The parser is total: arbitrary bytes, decoded lossily, parse
+            // or return a `ParseTraceError`, and a trace that parses holds
+            // only entries the generator can materialize.
+            fn parsing_arbitrary_bytes_never_panics(raw in vecs(ints(0, 256), 0, 300)) {
+                let bytes: Vec<u8> = raw.iter().map(|&b| b as u8).collect();
+                if let Ok(trace) = WorkloadTrace::from_text(&String::from_utf8_lossy(&bytes)) {
+                    for entry in &trace.entries {
+                        prop_assert!(entry.pattern.validate().is_ok(), "{entry:?}");
+                    }
+                }
+            }
+
+            // Entry lines dense in the format's own tokens (the header, the
+            // field names, `=`, digits, `nan`, `inf`, `-`, `.`, spaces and
+            // newlines) after a well-formed header, so every case reaches
+            // the field and value parsers.
+            fn parsing_trace_shaped_soup_never_panics(raw in vecs(ints(0, 64), 0, 200)) {
+                let tricky: [&str; 28] = [
+                    "elsa-trace v1 d=", "n", "relevant", "dominance", "noise", "score_scale",
+                    "seed", "queries", "local", "passage", "=", "0", "1", "2", "3", "4", "5",
+                    "6", "7", "8", "9", "nan", "inf", "-", ".", " ", " ", "\n",
+                ];
+                let mut text = String::from("elsa-trace v1 d=64\n");
+                for &i in &raw {
+                    text.push_str(tricky[i % tricky.len()]);
+                }
+                if let Ok(trace) = WorkloadTrace::from_text(&text) {
+                    for entry in &trace.entries {
+                        prop_assert!(entry.pattern.validate().is_ok(), "{entry:?}");
+                    }
+                }
+            }
         }
     }
 }

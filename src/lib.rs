@@ -21,10 +21,9 @@
 //! | [`sparse`] | software sparse-attention baselines (LSH, local windows) |
 //! | [`pool`] | pooled-KV rival approximation (adaptive K/V compression) |
 //! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
-//! | [`runtime`] | host integration: thresholds, batch scheduling, model offload, typed errors |
-//! | [`serve`] | the serving engine: batch and online serving, batching, SLO shedding, failover |
+//! | [`serve`] | the serving engine: batch and online serving, batching, SLO shedding, failover, typed errors |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
-//! | [`workloads`] | model zoo, synthetic datasets, proxy metrics |
+//! | [`workloads`] | model zoo, synthetic datasets, proxy metrics, deep-stack quality model |
 //!
 //! # Quickstart
 //!
@@ -66,8 +65,6 @@ pub use elsa_numeric as numeric;
 pub use elsa_pool as pool;
 /// Software sparse-attention baselines (re-export of `elsa-sparse`).
 pub use elsa_sparse as sparse;
-/// Host-integration runtime (re-export of `elsa-runtime`).
-pub use elsa_runtime as runtime;
 /// The serving engine, batch and online (re-export of `elsa-serve`).
 pub use elsa_serve as serve;
 /// Fault-tolerant multi-node cluster serving (re-export of `elsa-cluster`).

@@ -31,8 +31,7 @@ use elsa::attention::exact::AttentionInputs;
 use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
-use elsa::runtime::RuntimeError;
-use elsa::serve::{ArrivalTrace, OnlineServer, ServeConfig, ServeReport};
+use elsa::serve::{ArrivalTrace, OnlineServer, RuntimeError, ServeConfig, ServeReport};
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};

@@ -1,5 +1,5 @@
-//! Property-based tests (elsa-testkit) over the hardware simulator,
-//! scheduler, and sparse-attention baselines.
+//! Property-based tests (elsa-testkit) over the hardware simulator and the
+//! sparse-attention baselines.
 //!
 //! Ported from the original proptest suite; every invariant is preserved.
 //! The `candidate_positions` strategy (a random `BTreeSet` of bank slots)
@@ -7,7 +7,6 @@
 //! positions at varying densities.
 
 use elsa::linalg::SeededRng;
-use elsa::runtime::{BatchScheduler, SchedulePolicy};
 use elsa::sim::arbiter::{simulate_bank_drain_queued, ArbiterPolicy};
 use elsa::sim::cost::EnergyBreakdown;
 use elsa::sim::cycle::{
@@ -82,24 +81,6 @@ props! {
         let e_small = EnergyBreakdown::from_run(&cfg, &small_report, 8, 8 * c_small, n);
         let e_large = EnergyBreakdown::from_run(&cfg, &large_report, 8, 8 * (c_small + extra).min(n), n);
         prop_assert!(e_large.total_j() >= e_small.total_j());
-    }
-
-    fn scheduler_makespan_bounds(
-        jobs in vecs(range(0.001, 10.0), 1, 40),
-        accels in ints(1, 16),
-    ) {
-        let scheduler = BatchScheduler::new(accels, 0.0, SchedulePolicy::LongestFirst);
-        let schedule = scheduler.schedule(&jobs);
-        let max_job = jobs.iter().copied().fold(0.0, f64::max);
-        let total: f64 = jobs.iter().sum();
-        let lower = max_job.max(total / accels as f64);
-        prop_assert!(schedule.makespan_s() + 1e-12 >= lower);
-        // Graham's bound for LPT: makespan <= (4/3 - 1/3m) * OPT <= 4/3 * lower-ish;
-        // use the safe 2x bound of greedy list scheduling.
-        prop_assert!(schedule.makespan_s() <= 2.0 * lower + 1e-9);
-        // Work conservation.
-        let assigned: f64 = schedule.per_accelerator_s.iter().sum();
-        prop_assert!((assigned - total).abs() < 1e-9);
     }
 
     fn segmented_candidates_partition_consistently(
