@@ -199,12 +199,10 @@ pub fn exact_attention_ops(n: usize, d: usize) -> u64 {
 
 /// FLOP/byte accounting for the tiled online-softmax (FlashAttention-class)
 /// streaming baseline — the hardware competitor modeled by
-/// `elsa-baselines::FlashModel` and implemented functionally by
-/// [`crate::flash`].
+/// `elsa-baselines::FlashModel`.
 ///
-/// Unlike the software kernel (which defers renormalization to stay
-/// bit-identical to the naive reference), the *hardware* design point is the
-/// true single-pass recurrence, so this count deliberately charges:
+/// The design point is the true single-pass recurrence, so this count
+/// deliberately charges:
 ///
 /// * **Renormalization multiplies** — whenever a later tile raises the
 ///   running maximum, the running sum (1 multiply) and the `d_v`-wide output
@@ -308,7 +306,7 @@ impl FlashAttentionOps {
 /// Off-chip traffic of the *naive* exact kernel for the same problem: on top
 /// of the compulsory Q/K/V/output transfers it spills and re-reads the
 /// `n_q × n` `f32` score matrix twice (once after `QKᵀ`, once after softmax)
-/// when it exceeds on-chip capacity — the memory term the streaming kernel
+/// when it exceeds on-chip capacity — the memory term the streaming dataflow
 /// exists to delete.
 #[must_use]
 pub fn naive_attention_bytes(n_q: usize, n: usize, d: usize, d_v: usize) -> u64 {
@@ -316,6 +314,21 @@ pub fn naive_attention_bytes(n_q: usize, n: usize, d: usize, d_v: usize) -> u64 
     let io: u128 = n_q128 * d128 * 4 + n128 * (d128 + dv128) * 4 + n_q128 * dv128 * 4;
     let score_matrix: u128 = n_q128 * n128 * 4;
     saturating_u64(io + 4 * score_matrix)
+}
+
+/// Peak workspace in bytes of an exact kernel that streams each query row
+/// over the keys, with `workers` rows in flight: each active row holds one
+/// `f32` lane per key plus a `d_v`-wide `f64` accumulator — linear in `n`.
+#[must_use]
+pub fn streaming_workspace_bytes(n: usize, d_v: usize, workers: usize) -> u64 {
+    saturating_u64(wide(workers.max(1)) * (wide(n) * 4 + wide(d_v) * 8))
+}
+
+/// Workspace in bytes of the naive exact kernel: the materialized
+/// `num_queries × n` `f32` score matrix, `O(n²)` for self-attention.
+#[must_use]
+pub fn naive_workspace_bytes(num_queries: usize, n: usize) -> u64 {
+    saturating_u64(wide(num_queries) * wide(n) * 4)
 }
 
 #[cfg(test)]
@@ -434,6 +447,46 @@ mod tests {
         assert_eq!(small.workspace_bytes, large.workspace_bytes);
         // The naive kernel's traffic includes the O(n²) score-matrix spill.
         assert!(naive_attention_bytes(4096, 4096, 64, 64) > large.total_bytes());
+    }
+
+    #[test]
+    fn workspace_accounting_is_linear_vs_quadratic() {
+        // Streaming: 512·4 + 64·8 bytes per active row.
+        assert_eq!(streaming_workspace_bytes(512, 64, 1), 512 * 4 + 64 * 8);
+        assert_eq!(streaming_workspace_bytes(512, 64, 4), 4 * (512 * 4 + 64 * 8));
+        // Naive: the full score matrix.
+        assert_eq!(naive_workspace_bytes(512, 512), 512 * 512 * 4);
+        // At the serving config's n_max = 200, even 8 rows in flight stay
+        // far below the score matrix, and the gap widens quadratically:
+        // 4x the keys, ~4x the ratio.
+        let n = 200;
+        let streaming = streaming_workspace_bytes(n, 64, 8);
+        let naive = naive_workspace_bytes(n, n);
+        assert!(streaming * 10 < naive, "streaming {streaming} B vs naive {naive} B");
+        let big = naive_workspace_bytes(4 * n, 4 * n) as f64
+            / streaming_workspace_bytes(4 * n, 64, 8) as f64;
+        let small = naive as f64 / streaming as f64;
+        assert!(big > 3.0 * small, "ratio {small} -> {big}");
+        let n = 2048;
+        assert!(streaming_workspace_bytes(n, 64, 8) * 64 < naive_workspace_bytes(n, n));
+    }
+
+    #[test]
+    fn workspace_claims_hold_at_64k() {
+        // At n = 64k the naive kernel's score matrix is 17.2 GB while the
+        // streaming workspace stays around a megabyte — and both counts are
+        // exact u64 arithmetic, no overflow, no saturation.
+        let n = 65536;
+        assert_eq!(naive_workspace_bytes(n, n), 17_179_869_184);
+        assert_eq!(streaming_workspace_bytes(n, 64, 4), 4 * (65536 * 4 + 64 * 8));
+        assert_eq!(streaming_workspace_bytes(n, 64, 4), 1_050_624);
+        // O(n·d)-class vs O(n²): four orders of magnitude apart.
+        assert!(streaming_workspace_bytes(n, 64, 4) * 10_000 < naive_workspace_bytes(n, n));
+        // Rectangular decode shape: even 16 queries over 64k keys need a
+        // 4 MB naive score matrix; streaming with 4 in-flight rows uses a
+        // quarter of that, and its footprint never grows with n_q.
+        assert_eq!(naive_workspace_bytes(16, n), 4_194_304);
+        assert!(streaming_workspace_bytes(n, 64, 4) < naive_workspace_bytes(16, n));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod exact;
-pub mod flash;
 pub mod flops;
 pub mod multihead;
 pub mod transformer;

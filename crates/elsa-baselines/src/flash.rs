@@ -6,9 +6,9 @@
 //! H-FA's log-domain accumulation and Low-Cost FlashAttention's fused
 //! exponential-multiply units (see `PAPERS.md`). It is an analytic cost
 //! model: those units enter only as lane counts and per-cycle throughput,
-//! never as bit-level functional models. The software-exact kernel is
-//! `elsa_attention::flash`. It is held **iso-compute with ELSA and the
-//! ideal accelerator**: the same 528 multipliers at 1 GHz, twelve replicated
+//! never as bit-level functional models, and no software kernel computes
+//! its output. It is held **iso-compute with ELSA and the ideal
+//! accelerator**: the same 528 multipliers at 1 GHz, twelve replicated
 //! units — so any speedup it shows over the naive baseline is architectural
 //! (no score-matrix spill), never a bigger-chip artifact.
 //!

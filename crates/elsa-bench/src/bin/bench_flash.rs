@@ -16,15 +16,17 @@
 //!
 //! * the naive exact kernel's FLOPs, off-chip bytes (with the O(n²)
 //!   score-matrix spill) and workspace;
-//! * the streaming kernel's FLOPs (renormalization charged), bytes (tile
-//!   reloads charged), O(n)-class workspace, `FlashModel` cycles and
+//! * the streaming design point's FLOPs (renormalization charged), bytes
+//!   (tile reloads charged), O(n)-class workspace, `FlashModel` cycles and
 //!   roofline bottleneck;
 //! * ELSA's approximate pipeline: simulated cycles and selected-pair
 //!   fraction from the learned operator, plus ELSA-base (exact) cycles via
-//!   `run_base_streaming`, the cycles a degraded request is charged.
+//!   `run_base`, the cycles a degraded request is charged.
 
-use elsa_attention::flops::{naive_attention_bytes, FlashAttentionOps};
-use elsa_attention::{flash, AttentionInputs};
+use elsa_attention::flops::{
+    naive_attention_bytes, naive_workspace_bytes, streaming_workspace_bytes, FlashAttentionOps,
+};
+use elsa_attention::AttentionInputs;
 use elsa_baselines::{FlashModel, IdealAccelerator};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
@@ -68,7 +70,7 @@ fn row(workload: &Workload, index: u64) -> Row {
     let n = test.num_keys();
 
     let approx = accel.run(&test);
-    let base = accel.run_base_streaming(&test);
+    let base = accel.run_base(&test);
     let model = FlashModel::paper();
     let ops = FlashAttentionOps::count(n, n, D, D, model.tile);
     // Single-tile flash IS the naive compute (no renormalization, no tile
@@ -81,11 +83,11 @@ fn row(workload: &Workload, index: u64) -> Row {
         n,
         naive_flops: naive_ops.total_flops(),
         naive_bytes: naive_attention_bytes(n, n, D, D),
-        naive_workspace_bytes: flash::naive_workspace_bytes(n, n),
+        naive_workspace_bytes: naive_workspace_bytes(n, n),
         flash_flops: ops.total_flops(),
         flash_bytes: ops.total_bytes(),
         flash_tile_reload_bytes: ops.tile_reload_bytes,
-        flash_workspace_bytes: flash::streaming_workspace_bytes(n, D, 1),
+        flash_workspace_bytes: streaming_workspace_bytes(n, D, 1),
         flash_cycles: model.attention_cycles(n, D),
         flash_bottleneck: model.bottleneck(n, D),
         ideal_cycles: IdealAccelerator::paper().attention_cycles(n, D),

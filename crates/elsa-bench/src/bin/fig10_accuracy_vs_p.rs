@@ -7,11 +7,13 @@
 use elsa_bench::harness::{sweep_p, HarnessOptions};
 use elsa_bench::longctx::frontier;
 use elsa_bench::table::{fmt, Table};
-use elsa_workloads::workload::{Workload, P_GRID};
+use elsa_workloads::workload::Workload;
 
 fn main() {
     let opts = HarnessOptions::default();
     println!("Fig. 10 — accuracy metric and candidate fraction vs p\n");
+    let mut frac_at_p1 = Vec::new();
+    let mut frac_at_p2 = Vec::new();
     for workload in Workload::all() {
         let sweep = sweep_p(&workload, &opts);
         println!(
@@ -27,17 +29,6 @@ fn main() {
                 fmt(eval.loss_percent(), 2),
                 fmt(eval.stats.candidate_fraction() * 100.0, 1),
             ]);
-        }
-        table.print();
-        println!();
-    }
-    // Headline claims of §V-B.
-    let opts = HarnessOptions::default();
-    let mut frac_at_p1 = Vec::new();
-    let mut frac_at_p2 = Vec::new();
-    for workload in Workload::all() {
-        let sweep = sweep_p(&workload, &opts);
-        for eval in &sweep {
             if (eval.p - 1.0).abs() < 1e-9 {
                 frac_at_p1.push(eval.stats.candidate_fraction());
             }
@@ -45,7 +36,10 @@ fn main() {
                 frac_at_p2.push(eval.stats.candidate_fraction());
             }
         }
+        table.print();
+        println!();
     }
+    // Headline claims of §V-B.
     let avg = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
     println!(
         "average candidate fraction at p=1: {:.1}% (paper: <40% with sub-1% loss)",
@@ -55,7 +49,6 @@ fn main() {
         "average candidate fraction at p=2: {:.1}% (paper: ~26% with sub-2% loss)",
         avg(&frac_at_p2) * 100.0
     );
-    let _ = P_GRID;
 
     // Long-context zoo: ELSA hashing vs the pooled-KV compression rival on
     // identical 8k-64k traces (the regime the paper's premise targets but

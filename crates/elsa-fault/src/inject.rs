@@ -53,7 +53,7 @@ pub fn corrupt_matrix(
 /// Applies a planned corruption to a finished [`RunReport`]: value-level
 /// kinds poison the output matrix; [`CorruptionKind::EmptyCandidates`]
 /// models a corrupted hash signature by zeroing the selection statistics
-/// (the downstream sanity guard treats `selected_pairs == 0` as an
+/// (the serving engine's numeric guard treats `selected_pairs == 0` as an
 /// untrustworthy candidate set).
 pub fn corrupt_report(
     report: &mut RunReport,

@@ -690,8 +690,7 @@ impl<'a> NodeEngine<'a> {
             {
                 // Exact fallback on the base datapath: the engine models
                 // timing only, so it charges the base run's cycles without
-                // computing the output (the same cycles `run_base` and
-                // `run_base_streaming` report).
+                // computing the output (the same cycles `run_base` reports).
                 let inputs = &self.prepared[request.id].inputs;
                 let base = simulate_execution_base(
                     self.accel_config,

@@ -165,10 +165,9 @@ pub fn simulate_execution(
 ///
 /// Every full-candidate query has the identical initiation interval, so one
 /// query is simulated and scaled — `O(n)` time and memory instead of the
-/// `O(n · num_queries)` candidate materialization, which is what lets
-/// `ElsaAccelerator::run_base_streaming` and the serving engine's degraded
-/// charge cost a report without ever building the score-matrix-shaped
-/// candidate lists.
+/// `O(n · num_queries)` candidate materialization, which is what lets the
+/// serving engine's degraded charge cost a request without ever building
+/// the score-matrix-shaped candidate lists.
 /// (`base_scales_one_query_exactly` pins the equivalence to the
 /// materialized form.)
 #[must_use]

@@ -136,9 +136,10 @@ impl AttentionPatternConfig {
     }
 
     /// Checks the generator's preconditions: positive dimensions, at least
-    /// one query row, `num_relevant` in `1..=n_real`, and under
-    /// [`TargetStructure::Local`] no more query rows than keys (queries
-    /// stand at document positions). [`generate_prefix`](Self::generate_prefix)
+    /// one query row, `num_relevant` in `1..=n_real`, finite `dominance`,
+    /// `noise` and `score_scale` (else every query is NaN or infinite), and
+    /// under [`TargetStructure::Local`] no more query rows than keys
+    /// (queries stand at document positions). [`generate_prefix`](Self::generate_prefix)
     /// asserts them; the trace parser reports them per line.
     ///
     /// # Errors
@@ -153,6 +154,9 @@ impl AttentionPatternConfig {
         }
         if !(1..=self.n_real).contains(&self.num_relevant) {
             return Err("num_relevant must be in 1..=n_real");
+        }
+        if !(self.dominance.is_finite() && self.noise.is_finite() && self.score_scale.is_finite()) {
+            return Err("dominance, noise and score_scale must be finite");
         }
         if matches!(self.structure, TargetStructure::Local { .. }) && self.n_queries > self.n_real {
             return Err(

@@ -299,6 +299,20 @@ mod tests {
             assert_eq!(err.line, 2, "{fields}");
             assert!(err.message.contains(reason), "{fields}: {}", err.message);
         }
+        // Non-finite scalars, from which every query would be NaN or infinite.
+        for (from, to) in [
+            ("noise=0.5", "noise=nan"),
+            ("dominance=1", "dominance=inf"),
+            ("score_scale=5", "score_scale=-inf"),
+        ] {
+            let text = format!(
+                "elsa-trace v1 d=64\nn=16 relevant=2 {rest}\nn=10 relevant=2 {}\n",
+                rest.replace(from, to)
+            );
+            let err = WorkloadTrace::from_text(&text).unwrap_err();
+            assert_eq!(err.line, 2, "{to}");
+            assert!(err.message.contains("finite"), "{to}: {}", err.message);
+        }
     }
 
     #[test]

@@ -48,13 +48,6 @@ echo "==> online serving battery (fixed seed, ELSA_THREADS=1 and 4)"
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --offline --test online_serving
 ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test online_serving
 
-echo "==> flash equivalence battery (fixed seed, ELSA_THREADS=1 and 4)"
-# The tiled streaming kernel promises bitwise equality with naive exact
-# attention across all tile sizes and worker counts (a 0-ulp bound); run the
-# battery under a pinned seed at both thread counts so a failure reproduces.
-ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=1 cargo test -q --offline --test flash_equivalence
-ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=4 cargo test -q --offline --test flash_equivalence
-
 echo "==> session equivalence battery (fixed seed, ELSA_THREADS=1 and 4)"
 # The incremental decode session promises bitwise equality with from-scratch
 # preprocessing (signatures, norms, candidate sets, output rows — 0 ulp)

@@ -157,9 +157,9 @@ props! {
     }
 
     // Forced corruption (rate 1.0) degrades every request, each charged
-    // bit-for-bit the approximate run plus what the oracle's naive
-    // `run_base` costs, at any worker count.
-    fn forced_corruption_streaming_fallback_matches_run_base_bitwise(
+    // bit-for-bit the approximate run plus the exact base run the oracle
+    // takes from `run_base`, at any worker count.
+    fn forced_corruption_charges_every_request_the_run_base_bitwise(
         count in ints(4, 10),
         batch_seed in ints_u64(1, 1 << 32),
         plan_seed in ints_u64(1, 1 << 32),
