@@ -7,7 +7,10 @@
 //! are driven by these counts.
 //!
 //! Conventions: one multiply-accumulate = 2 FLOPs; one exponential/special
-//! function = 1 op (a single SFU instruction on GPU).
+//! function = 1 op (a single SFU instruction on GPU). [`ApproxAttentionOps`]
+//! and [`exact_attention_ops`] keep the paper's §III-D unit instead, one op
+//! per multiply-accumulate: compare them with each other, not with the
+//! FLOP counts.
 
 use crate::transformer::TransformerConfig;
 
@@ -137,7 +140,9 @@ pub fn model_flops(config: &TransformerConfig, n: usize) -> LayerFlops {
 /// MAC count of the ELSA *approximate* attention pipeline for one
 /// `n × d` attention head with hash length `k` (3-way Kronecker hashing) and
 /// `c̄` average selected candidates per query — the paper's §III-D cost
-/// accounting, used to show the algorithmic reduction.
+/// accounting, used to show the algorithmic reduction. Unit: one op per
+/// multiply-accumulate, as in [`exact_attention_ops`]; the FLOP counts of
+/// this module charge two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxAttentionOps {
     /// Preprocessing: key hashes (`3·n·d^{4/3}`) + key norms (`n·d`).
@@ -189,12 +194,84 @@ impl ApproxAttentionOps {
     }
 }
 
-/// Exact attention MAC count for one head: `2·n²·d` MACs plus `n²` exps.
+/// Exact self-attention for one head in multiply-accumulates, the unit of
+/// [`ApproxAttentionOps`]: `2·n²·d` MACs (`n²·d` for the scores, `n²·d`
+/// for the weighted sum) plus `n²` exps.
 #[must_use]
 pub fn exact_attention_ops(n: usize, d: usize) -> u64 {
     let n = wide(n);
     let d = wide(d);
     saturating_u64(2 * n * n * d + n * n)
+}
+
+/// Dense rectangular attention FLOPs for `n_q` queries over `n` keys of
+/// dimension `d` with values of width `d_v`: scores `2·n_q·n·d`, softmax
+/// `n_q·n`, weighted sum `2·n_q·n·d_v`. A multiply-accumulate counts two,
+/// so the square case is twice [`exact_attention_ops`] less the `n²` exps.
+#[must_use]
+pub fn rect_attention_ops(n_q: usize, n: usize, d: usize, d_v: usize) -> u64 {
+    let (nq, n, d, dv) = (wide(n_q), wide(n), wide(d), wide(d_v));
+    saturating_u64(2 * nq * n * d + nq * n + 2 * nq * n * dv)
+}
+
+/// Operation counts for one pooled-KV invocation: `n_q` queries over `n`
+/// keys of dimension `d` (values of dimension `d_v`), pooled to
+/// `m = min(budget, n)` rows — the rival of `elsa_baselines::pool`.
+///
+/// # Examples
+///
+/// ```
+/// use elsa_attention::flops::{rect_attention_ops, PooledAttentionOps};
+///
+/// let ops = PooledAttentionOps::count(16, 65536, 64, 64, 256);
+/// // The dense attention term shrinks by the 256x compression ratio...
+/// assert_eq!(ops.attention_flops * 256, rect_attention_ops(16, 65536, 64, 64));
+/// // ...while pooling touches each input element exactly once.
+/// assert_eq!(ops.pooling_flops, 65536 * 128 + 256 * 128);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PooledAttentionOps {
+    /// Adaptive pooling: one accumulate per input K/V element
+    /// (`n·(d + d_v)`) plus one divide per pooled element (`m·(d + d_v)`).
+    pub pooling_flops: u64,
+    /// Dense attention over the pooled sequence:
+    /// [`rect_attention_ops`]`(n_q, m, d, d_v)`.
+    pub attention_flops: u64,
+    /// Compulsory HBM traffic in `f32` bytes: stream K/V once to pool,
+    /// read Q and the pooled K/V for attention, write the output.
+    pub bytes: u64,
+    /// Pooled rows actually attended over.
+    pub pooled: u64,
+}
+
+impl PooledAttentionOps {
+    /// Counts operations for an `n_q × n` invocation pooled to
+    /// `min(budget, n)` rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `budget == 0`.
+    #[must_use]
+    pub fn count(n_queries: usize, n: usize, d: usize, d_v: usize, budget: usize) -> Self {
+        assert!(budget > 0, "pooling budget must be positive");
+        let m = budget.min(n);
+        let (nq, n128, d128, dv, m128) = (wide(n_queries), wide(n), wide(d), wide(d_v), wide(m));
+        let kv_width: u128 = d128 + dv;
+        Self {
+            pooling_flops: saturating_u64(n128 * kv_width + m128 * kv_width),
+            attention_flops: rect_attention_ops(n_queries, m, d, d_v),
+            // Stream K/V for pooling, write + re-read pooled K/V, read Q,
+            // write the output.
+            bytes: saturating_u64(4 * (n128 * kv_width + m128 * kv_width + nq * d128 + nq * dv)),
+            pooled: saturating_u64(m128),
+        }
+    }
+
+    /// Total arithmetic operations.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.pooling_flops.saturating_add(self.attention_flops)
+    }
 }
 
 /// FLOP/byte accounting for the tiled online-softmax (FlashAttention-class)
@@ -294,12 +371,6 @@ impl FlashAttentionOps {
     #[must_use]
     pub fn total_bytes(&self) -> u64 {
         self.hbm_bytes.saturating_add(self.tile_reload_bytes)
-    }
-
-    /// Arithmetic intensity in FLOPs per off-chip byte.
-    #[must_use]
-    pub fn arithmetic_intensity(&self) -> f64 {
-        self.total_flops() as f64 / self.total_bytes() as f64
     }
 }
 
@@ -403,6 +474,39 @@ mod tests {
     #[test]
     fn exact_ops_formula() {
         assert_eq!(exact_attention_ops(128, 64), 2 * 128 * 128 * 64 + 128 * 128);
+    }
+
+    #[test]
+    fn rect_ops_formula() {
+        assert_eq!(
+            rect_attention_ops(16, 8192, 64, 64),
+            2 * 16 * 8192 * 64 + 16 * 8192 + 2 * 16 * 8192 * 64
+        );
+        // A multiply-accumulate is two FLOPs here, one op in the MAC count.
+        assert_eq!(rect_attention_ops(128, 128, 64, 64), 2 * exact_attention_ops(128, 64) - 128 * 128);
+        // Pooling charges that account over the pooled rows.
+        assert_eq!(
+            PooledAttentionOps::count(16, 8192, 64, 32, 256).attention_flops,
+            rect_attention_ops(16, 256, 64, 32)
+        );
+    }
+
+    #[test]
+    fn pooled_cost_fits_u64_at_64k() {
+        let ops = PooledAttentionOps::count(65536, 65536, 64, 64, 1024);
+        // Leading term is 4·n_q·m·d ≈ 1.7e13 — far from u64 overflow, and
+        // far below the exact kernel's 5.5e11-per-row quadratic blowup.
+        assert!(ops.total() < u64::MAX / 1024);
+        assert!(ops.total() < exact_attention_ops(65536, 64));
+        assert_eq!(ops.pooled, 1024);
+    }
+
+    #[test]
+    fn pooled_budget_monotonicity() {
+        let tight = PooledAttentionOps::count(16, 16384, 64, 64, 64);
+        let loose = PooledAttentionOps::count(16, 16384, 64, 64, 1024);
+        assert!(tight.total() < loose.total());
+        assert!(tight.bytes < loose.bytes);
     }
 
     #[test]

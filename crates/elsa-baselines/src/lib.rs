@@ -16,6 +16,13 @@
 //! All models report **latency in seconds for one self-attention invocation**
 //! (one `n × d` head) plus batched-throughput helpers, so the Fig. 11
 //! comparisons are apples-to-apples with the cycle-level ELSA simulator.
+//!
+//! Beside them sit the rival *algorithms*, which produce outputs and
+//! attended-pair statistics comparable with ELSA's operator: [`reformer`]
+//! (LSH bucketing, §V-E), [`local`] windows (§V-E), [`segmented`]
+//! attention (the §I workaround) and [`pool`]ed KV (the long-context
+//! frontier's compression rival). All of them finish with `elsa-attention`'s
+//! exact kernels, so quality comparisons against ELSA are apples-to-apples.
 
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
@@ -24,13 +31,23 @@ pub mod a3;
 pub mod flash;
 pub mod gpu;
 pub mod ideal;
+pub mod local;
+pub mod pool;
+pub mod reformer;
+pub mod segmented;
 pub mod tpu;
 
 pub use a3::A3Model;
 pub use flash::FlashModel;
 pub use gpu::GpuModel;
 pub use ideal::IdealAccelerator;
+pub use local::LocalAttention;
+pub use pool::{PoolMode, PoolStats, PooledKvAttention};
+pub use reformer::{LshAttention, LshAttentionConfig};
+pub use segmented::SegmentedAttention;
 pub use tpu::TpuModel;
+
+use elsa_core::SelectionStats;
 
 /// A device that can run the self-attention kernel — the common interface
 /// the benchmark harness tabulates.
@@ -52,6 +69,18 @@ pub trait AttentionDevice {
     /// parallelism override).
     fn attention_throughput(&self, n_real: usize, n_padded: usize, d: usize) -> f64 {
         1.0 / self.attention_latency_s(n_real, n_padded, d)
+    }
+}
+
+/// The statistics of a candidate rival's per-query key sets over
+/// `num_keys` keys, `fallback_queries` of them fallbacks.
+fn selection_stats(candidates: &[Vec<usize>], num_keys: usize, fallback_queries: usize) -> SelectionStats {
+    SelectionStats {
+        total_pairs: candidates.len() * num_keys,
+        selected_pairs: candidates.iter().map(Vec::len).sum(),
+        num_queries: candidates.len(),
+        num_keys,
+        fallback_queries,
     }
 }
 

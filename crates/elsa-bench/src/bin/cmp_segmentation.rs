@@ -8,11 +8,11 @@
 //! Run: `cargo run --release -p elsa-bench --bin cmp_segmentation`
 
 use elsa_attention::exact;
+use elsa_baselines::SegmentedAttention;
 use elsa_bench::table::{fmt, Table};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
-use elsa_sparse::SegmentedAttention;
 use elsa_workloads::tasks::ClassificationProbe;
 use elsa_workloads::AttentionPatternConfig;
 

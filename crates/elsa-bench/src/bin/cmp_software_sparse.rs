@@ -7,11 +7,10 @@
 //! Run: `cargo run --release -p elsa-bench --bin cmp_software_sparse`
 
 use elsa_attention::exact;
-use elsa_baselines::GpuModel;
+use elsa_baselines::{GpuModel, LocalAttention, LshAttention, LshAttentionConfig};
 use elsa_bench::table::{fmt, Table};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
-use elsa_sparse::{LocalAttention, LshAttention, LshAttentionConfig};
 use elsa_workloads::tasks::ClassificationProbe;
 use elsa_workloads::AttentionPatternConfig;
 

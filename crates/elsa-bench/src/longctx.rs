@@ -1,6 +1,7 @@
 //! Shared evaluation logic for the long-context rival comparison: ELSA's
-//! hash-based candidate selection vs the pooled-KV compression rival of
-//! `elsa-pool`, on identical traces from `elsa_workloads::longctx`.
+//! hash-based candidate selection vs the pooled-KV compression rival
+//! `elsa_baselines::PooledKvAttention`, on identical traces from
+//! `elsa_workloads::longctx`.
 //!
 //! Both `fig10_accuracy_vs_p` (human-readable frontier section) and
 //! `bench_longctx` (committed JSON) call [`frontier`], so the table and the
@@ -12,13 +13,14 @@
 //! Compute is the analytic operation count of each method at the measured
 //! operating point — `ApproxAttentionOps::count_queries` with the *observed*
 //! candidate load for ELSA, `PooledAttentionOps::count` for the rival — so
-//! the frontier is accuracy versus FLOPs, not wall time.
+//! the frontier is accuracy versus operation counts, not wall time (see
+//! [`RivalPoint::ops_vs_exact`] for their units).
 
-use elsa_attention::exact::{self, AttentionInputs};
-use elsa_attention::flops::ApproxAttentionOps;
+use elsa_attention::exact;
+use elsa_attention::flops::{rect_attention_ops, ApproxAttentionOps};
+use elsa_baselines::{PoolMode, PooledKvAttention};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
-use elsa_linalg::SeededRng;
-use elsa_pool::{PoolMode, PooledKvAttention};
+use elsa_linalg::{Matrix, SeededRng};
 use elsa_workloads::longctx::{LongCtxKind, LONG_LENGTHS};
 use elsa_workloads::tasks::ndcg_at_k;
 
@@ -48,7 +50,9 @@ pub struct RivalPoint {
     pub frobenius_error: f64,
     /// Analytic operation count at the measured operating point.
     pub total_ops: u64,
-    /// Fraction of the exact rectangular kernel's operations.
+    /// `total_ops` over the exact rectangular kernel's FLOPs. ELSA's
+    /// `total_ops` counts one op per multiply-accumulate, not two, so its
+    /// fraction reads about half its share of exact FLOPs.
     pub ops_vs_exact: f64,
 }
 
@@ -65,21 +69,6 @@ pub struct FrontierRow {
     pub exact_ops: u64,
     /// All rivals, ELSA points first, then the pooled budgets.
     pub points: Vec<RivalPoint>,
-}
-
-/// Exact rectangular attention operations: scores `2·n_q·n·d`, softmax
-/// `n_q·n`, weighted sum `2·n_q·n·d_v`.
-#[must_use]
-pub fn exact_rect_ops(n_queries: usize, n: usize, d: usize, d_v: usize) -> u64 {
-    let nq = n_queries as u64;
-    let n64 = n as u64;
-    2 * nq * n64 * d as u64 + nq * n64 + 2 * nq * n64 * d_v as u64
-}
-
-fn fidelity(reference: &elsa_linalg::Matrix, approx: &elsa_linalg::Matrix, inputs: &AttentionInputs) -> (f64, f64) {
-    // `relative_frobenius_error` normalizes by `self`, so the reference
-    // goes on the left: ‖ref − approx‖ / ‖ref‖.
-    (ndcg_at_k(reference, approx, inputs.value(), 10), reference.relative_frobenius_error(approx))
 }
 
 /// Runs the full rival comparison over the long-context zoo: for every
@@ -101,42 +90,28 @@ pub fn frontier() -> Vec<FrontierRow> {
             let n_queries = test.num_queries();
             let d = test.dim();
             let reference = exact::attention(&test);
-            let exact_ops = exact_rect_ops(n_queries, n, d, test.value().cols());
+            let exact_ops = rect_attention_ops(n_queries, n, d, test.value().cols());
+            let point = |label: String, out: &Matrix, total_ops: u64| RivalPoint {
+                label,
+                ndcg: ndcg_at_k(&reference, out, test.value(), 10),
+                // `relative_frobenius_error` normalizes by `self`, so the
+                // reference goes on the left: ‖ref − approx‖ / ‖ref‖.
+                frobenius_error: reference.relative_frobenius_error(out),
+                total_ops,
+                ops_vs_exact: total_ops as f64 / exact_ops as f64,
+            };
             let mut points = Vec::new();
 
             let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(ZOO_SEED ^ 1));
             for p in ELSA_P {
-                let operator = ElsaAttention::learn(params.clone(), &[train.clone()], p);
+                let operator = ElsaAttention::learn(params.clone(), std::slice::from_ref(&train), p);
                 let (out, stats) = operator.forward(&test);
-                let (ndcg, frob) = fidelity(&reference, &out, &test);
-                let ops = ApproxAttentionOps::count_queries(
-                    n_queries,
-                    n,
-                    d,
-                    stats.avg_candidates_per_query(),
-                )
-                .total();
-                points.push(RivalPoint {
-                    label: format!("elsa p={p}"),
-                    ndcg,
-                    frobenius_error: frob,
-                    total_ops: ops,
-                    ops_vs_exact: ops as f64 / exact_ops as f64,
-                });
+                let ops = ApproxAttentionOps::count_queries(n_queries, n, d, stats.avg_candidates_per_query());
+                points.push(point(format!("elsa p={p}"), &out, ops.total()));
             }
-
             for (budget, mode) in POOL_POINTS {
                 let pool = PooledKvAttention::new(budget, mode);
-                let (out, _) = pool.forward(&test);
-                let (ndcg, frob) = fidelity(&reference, &out, &test);
-                let ops = pool.ops(n_queries, n, d).total();
-                points.push(RivalPoint {
-                    label: pool.label(),
-                    ndcg,
-                    frobenius_error: frob,
-                    total_ops: ops,
-                    ops_vs_exact: ops as f64 / exact_ops as f64,
-                });
+                points.push(point(pool.label(), &pool.forward(&test).0, pool.ops(n_queries, n, d).total()));
             }
 
             rows.push(FrontierRow { family: kind.name(), n, n_queries, exact_ops, points });
@@ -154,7 +129,7 @@ mod tests {
         // The full zoo is too heavy for a debug-build unit test; pin the
         // structure on one small synthetic cell instead and leave the full
         // run to the release-mode battery and bench binary.
-        let ops = exact_rect_ops(16, 8192, 64, 64);
+        let ops = rect_attention_ops(16, 8192, 64, 64);
         assert_eq!(ops, 2 * 16 * 8192 * 64 + 16 * 8192 + 2 * 16 * 8192 * 64);
         assert_eq!(ELSA_P.len() + POOL_POINTS.len(), 6);
     }

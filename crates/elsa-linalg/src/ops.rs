@@ -65,7 +65,9 @@ pub fn norm(v: &[f32]) -> f64 {
 /// Returns an empty vector for empty input. All-equal inputs produce the
 /// uniform distribution — including an input that is entirely `-∞` (a fully
 /// masked score row), where the limit form `-∞ - -∞` would otherwise turn
-/// the whole output into NaN.
+/// the whole output into NaN. For the same reason a row whose maximum is
+/// `+∞` (a score that overflowed `f32`) takes its limit: the weight splits
+/// evenly over the `+∞` entries and every other entry gets 0.
 ///
 /// # Examples
 ///
@@ -74,6 +76,8 @@ pub fn norm(v: &[f32]) -> f64 {
 /// assert_eq!(p, vec![0.5, 0.5]);
 /// let masked = elsa_linalg::ops::softmax(&[f32::NEG_INFINITY; 4]);
 /// assert_eq!(masked, vec![0.25; 4]);
+/// let overflowed = elsa_linalg::ops::softmax(&[f32::INFINITY, 1.0, f32::INFINITY]);
+/// assert_eq!(overflowed, vec![0.5, 0.0, 0.5]);
 /// ```
 #[must_use]
 pub fn softmax(scores: &[f32]) -> Vec<f32> {
@@ -87,8 +91,8 @@ pub fn softmax(scores: &[f32]) -> Vec<f32> {
 /// `f64` exps.
 fn softmax_into(scores: &mut [f32], exps: &mut [f64]) {
     let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        scores.fill(1.0 / scores.len() as f32);
+    if max.is_infinite() {
+        infinite_max_weights(scores, max);
         return;
     }
     for (e, &s) in exps.iter_mut().zip(scores.iter()) {
@@ -100,16 +104,27 @@ fn softmax_into(scores: &mut [f32], exps: &mut [f64]) {
     }
 }
 
+/// Softmax's limit on a row whose maximum `max` is infinite: an even split
+/// over the maxima with 0 everywhere else, where every entry of a `-∞` row
+/// (each `-∞` or NaN) counts as a maximum, so that row comes out uniform.
+fn infinite_max_weights(scores: &mut [f32], max: f32) {
+    let is_max = |s: f32| max < 0.0 || s == max;
+    let share = 1.0 / scores.iter().filter(|&&s| is_max(s)).count() as f32;
+    for s in scores.iter_mut() {
+        *s = if is_max(*s) { share } else { 0.0 };
+    }
+}
+
 /// In-place softmax over a mutable slice (used by row-wise normalization in
 /// hot loops to avoid an allocation per row). Same semantics as [`softmax`],
-/// including the uniform output for an all-`-∞` row.
+/// including the limits of a row whose maximum is `±∞`.
 pub fn softmax_in_place(scores: &mut [f32]) {
     if scores.is_empty() {
         return;
     }
     let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if max == f32::NEG_INFINITY {
-        scores.fill(1.0 / scores.len() as f32);
+    if max.is_infinite() {
+        infinite_max_weights(scores, max);
         return;
     }
     let mut sum = 0.0f64;
@@ -431,6 +446,24 @@ mod tests {
         let mut buf = [f32::NEG_INFINITY; 5];
         softmax_in_place(&mut buf);
         assert_eq!(buf, [0.2; 5]);
+    }
+
+    #[test]
+    fn softmax_pos_infinity_max_splits_over_the_infinities() {
+        // A score that overflowed to +inf must not turn the row into NaNs
+        // (inf - inf); the row's weight splits over its +inf entries.
+        let cases: [(&[f32], &[f32]); 4] = [
+            (&[f32::INFINITY, 1.0, f32::INFINITY], &[0.5, 0.0, 0.5]),
+            (&[-3.0, f32::INFINITY, f32::NEG_INFINITY, 2.0], &[0.0, 1.0, 0.0, 0.0]),
+            (&[f32::INFINITY; 4], &[0.25; 4]),
+            (&[f32::INFINITY], &[1.0]),
+        ];
+        for (scores, expected) in cases {
+            assert_eq!(softmax(scores), expected, "{scores:?}");
+            let mut buf = scores.to_vec();
+            softmax_in_place(&mut buf);
+            assert_eq!(buf, expected, "{scores:?}");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub const PINNED_MANIFESTS: &[&str] = &[
     "crates/elsa-serve/Cargo.toml",
     "crates/elsa-lint/Cargo.toml",
     "crates/elsa-workloads/Cargo.toml",
-    "crates/elsa-pool/Cargo.toml",
+    "crates/elsa-baselines/Cargo.toml",
 ];
 
 /// Dependency-table names (last path segment `dependencies` variants).

@@ -211,15 +211,14 @@ impl RuleSet {
 /// runs: D2 bans hash-ordered collections here outright.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "elsa-attention",
+    "elsa-baselines",
     "elsa-cluster",
     "elsa-core",
     "elsa-fault",
     "elsa-linalg",
     "elsa-parallel",
-    "elsa-pool",
     "elsa-serve",
     "elsa-sim",
-    "elsa-sparse",
     "elsa-workloads",
 ];
 
@@ -228,9 +227,9 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const ENTROPY_EXEMPT_CRATES: &[&str] = &["elsa-bench", "elsa-testkit"];
 
 /// Serving-path crates where P1 bans panicking constructs in non-test code.
-/// `elsa-pool` sits on the same comparison path as the serving stack, so it
-/// holds to the same policy (asserts on contract violations only).
-pub const PANIC_POLICY_CRATES: &[&str] = &["elsa-cluster", "elsa-pool", "elsa-serve"];
+/// `elsa-baselines` holds the rivals the serving stack is compared against,
+/// so it holds to the same policy (asserts on contract violations only).
+pub const PANIC_POLICY_CRATES: &[&str] = &["elsa-baselines", "elsa-cluster", "elsa-serve"];
 
 /// The approved homes for ordered float-reduction helpers: F1 does not
 /// apply inside them, because this is where the one blessed accumulation
@@ -246,14 +245,13 @@ pub const REDUCTION_HELPER_CRATES: &[&str] = &["elsa-linalg", "elsa-parallel"];
 pub const COST_MODEL_MODULES: &[(&str, &str)] = &[
     ("elsa-attention", "src/flops.rs"),
     ("elsa-cluster", "src/report.rs"),
-    ("elsa-pool", "src/cost.rs"),
     ("elsa-serve", "src/estimator.rs"),
 ];
 
 /// Crates whose public panicking APIs must pair with `try_*` siblings (C1)
-/// and whose functions may not call hidden-panic helpers (P2). `elsa-pool`
-/// holds to P1 but predates the try-convention, so C1/P2 cover the two
-/// crates that established it.
+/// and whose functions may not call hidden-panic helpers (P2).
+/// `elsa-baselines` holds to P1 but predates the try-convention, so C1/P2
+/// cover the two crates that established it.
 pub const TRY_API_CRATES: &[&str] = &["elsa-cluster", "elsa-serve"];
 
 /// Integer types a cast *into* can lose bits: A1 flags `as <ty>` for these
@@ -977,7 +975,7 @@ mod tests {
 
     #[test]
     fn d2_flags_hash_collections_in_deterministic_crates() {
-        let hits = unwaived("elsa-sparse", "use std::collections::HashMap;\n");
+        let hits = unwaived("elsa-baselines", "use std::collections::HashMap;\n");
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, RuleId::HashCollections);
         assert_eq!(unwaived("elsa-core", "let s: HashSet<u32> = HashSet::new();").len(), 2);

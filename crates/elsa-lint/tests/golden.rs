@@ -85,12 +85,12 @@ pub fn kv_bytes(n: usize, d: usize) -> usize {
 #[test]
 fn a1_flags_unchecked_counter_multiply_in_cost_module() {
     // The path must be a registered cost-model module; elsewhere A1 is off.
-    let findings = source_findings("elsa-pool", "src/cost.rs", A1_POSITIVE);
+    let findings = source_findings("elsa-attention", "src/flops.rs", A1_POSITIVE);
     let a1 = only_rule(&findings, RuleId::ArithmeticHeadroom);
     assert_eq!(a1.len(), 1, "expected one A1 finding, got: {findings:?}");
     assert!(a1[0].waived.is_none());
 
-    let elsewhere = source_findings("elsa-pool", "src/lib.rs", A1_POSITIVE);
+    let elsewhere = source_findings("elsa-attention", "src/lib.rs", A1_POSITIVE);
     assert!(
         only_rule(&elsewhere, RuleId::ArithmeticHeadroom).is_empty(),
         "A1 is scoped to cost-model modules"
@@ -99,7 +99,7 @@ fn a1_flags_unchecked_counter_multiply_in_cost_module() {
 
 #[test]
 fn a1_waiver_suppresses_the_finding() {
-    let findings = source_findings("elsa-pool", "src/cost.rs", A1_WAIVED);
+    let findings = source_findings("elsa-attention", "src/flops.rs", A1_WAIVED);
     let a1 = only_rule(&findings, RuleId::ArithmeticHeadroom);
     assert_eq!(a1.len(), 1);
     assert_eq!(a1[0].waived.as_deref(), Some("golden waived case"));

@@ -16,7 +16,7 @@
 //!   mass skewed into one relevant passage ([`TargetStructure::Passage`]).
 //!
 //! Both families produce ordinary [`WorkloadTrace`]s, so the whole existing
-//! stack — `ElsaAttention::forward`, the pooled-KV rival in `elsa-pool`,
+//! stack — `ElsaAttention::forward`, the pooled-KV rival in `elsa-baselines`,
 //! serving arrival generators — replays them bit-identically from text.
 //!
 //! [`LengthMix`] models the serving-side counterpart: weighted length

@@ -126,6 +126,21 @@ for threads in 1 4; do
   ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline --test precompute_oracle
 done
 
+echo "==> rival battery (fixed seed, ELSA_THREADS=1 and 4)"
+# The functional rivals in elsa-baselines (local windows, fixed segments,
+# Reformer-style LSH, pooled KV) on adversarial shapes: n in {1, 2, 97}
+# keys, n_q in {1, n, n + 3} queries, d in {1, 63, 65}. Every candidate
+# list is sorted, deduplicated, in range and non-empty, every output is
+# finite, and pooling with a budget >= n equals exact attention bit for
+# bit, all at the ambient worker count; lists and output bits also equal
+# their one- and four-worker runs, and one larger shape is asserted to
+# fan out every rival's work. Run optimized under a pinned seed at
+# both thread counts, so the contracts are checked on the serial and on
+# the fanned-out paths.
+for threads in 1 4; do
+  ELSA_TESTKIT_SEED=0xE15AFA17 ELSA_THREADS=$threads cargo test -q --release --offline --test rivals
+done
+
 echo "==> artifact gate (every host-independent bin vs its committed file)"
 # Each bin below reads no wall clock and no host state: every value is a
 # seeded computation, an analytic FLOP/byte count, or a model cycle count on

@@ -17,9 +17,7 @@
 //! | [`attention`] | exact attention + transformer substrate |
 //! | [`algorithm`] | the ELSA approximation (hashing, thresholds, operator) |
 //! | [`sim`] | cycle/functional/energy simulation of the accelerator |
-//! | [`baselines`] | GPU / ideal / A³ / TPU cost models |
-//! | [`sparse`] | software sparse-attention baselines (LSH, local windows) |
-//! | [`pool`] | pooled-KV rival approximation (adaptive K/V compression) |
+//! | [`baselines`] | the rivals: GPU / ideal / A³ / TPU / Flash cost models, LSH, local-window, segmented and pooled-KV attention |
 //! | [`fault`] | deterministic fault injection: seeded chaos plans, health tracking |
 //! | [`serve`] | the serving engine: batch and online serving, batching, SLO shedding, failover, typed errors |
 //! | [`cluster`] | fault-tolerant fleet serving: routing, failover, hedging, autoscaling |
@@ -51,7 +49,8 @@
 pub use elsa_core as algorithm;
 /// Exact attention and transformer substrate (re-export of `elsa-attention`).
 pub use elsa_attention as attention;
-/// Baseline device models (re-export of `elsa-baselines`).
+/// The rivals: device models and rival attention algorithms (re-export of
+/// `elsa-baselines`).
 pub use elsa_baselines as baselines;
 /// Deterministic fault injection (re-export of `elsa-fault`).
 pub use elsa_fault as fault;
@@ -61,10 +60,6 @@ pub use elsa_linalg as linalg;
 pub use elsa_parallel as parallel;
 /// Datapath number formats (re-export of `elsa-numeric`).
 pub use elsa_numeric as numeric;
-/// Pooled-KV rival approximation (re-export of `elsa-pool`).
-pub use elsa_pool as pool;
-/// Software sparse-attention baselines (re-export of `elsa-sparse`).
-pub use elsa_sparse as sparse;
 /// The serving engine, batch and online (re-export of `elsa-serve`).
 pub use elsa_serve as serve;
 /// Fault-tolerant multi-node cluster serving (re-export of `elsa-cluster`).

@@ -13,7 +13,7 @@ use elsa::sim::cycle::{
     closed_form_query_cycles, simulate_bank_drain, simulate_execution,
 };
 use elsa::sim::AcceleratorConfig;
-use elsa::sparse::SegmentedAttention;
+use elsa::baselines::SegmentedAttention;
 use elsa_testkit::prelude::*;
 
 props! {

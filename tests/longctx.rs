@@ -24,7 +24,7 @@
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::linalg::{Matrix, SeededRng};
 use elsa::parallel::with_threads;
-use elsa::pool::{PoolMode, PooledKvAttention};
+use elsa::baselines::{PoolMode, PooledKvAttention};
 use elsa::serve::skew::compare_batching;
 use elsa::serve::{BatchPolicy, ServiceEstimator};
 use elsa::sim::AcceleratorConfig;

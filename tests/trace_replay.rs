@@ -2,7 +2,8 @@
 //! experiment results across the whole stack.
 
 use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
-use elsa::linalg::SeededRng;
+use elsa::attention::exact;
+use elsa::linalg::{Matrix, SeededRng};
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
@@ -56,4 +57,21 @@ fn traces_capture_variable_lengths() {
         trace.entries.iter().map(|e| e.pattern.n_real).collect();
     assert!(lengths.len() > 3, "length sampler should vary: {lengths:?}");
     assert!(lengths.iter().all(|&n| n <= 200));
+}
+
+#[test]
+fn overflowing_score_scale_replays_to_finite_outputs() {
+    // A score scale near f32::MAX overflows some scores to +inf. Softmax
+    // splits such a row's weight over its +inf entries, so neither the
+    // exact reference nor the ELSA operator may emit a non-finite value.
+    let text = "elsa-trace v1 d=64\nn=16 relevant=2 dominance=1 noise=0.5 score_scale=3e38 seed=1\n";
+    let trace = WorkloadTrace::from_text(text).expect("the entry validates");
+    let inputs = &trace.materialize()[0];
+    let finite = |m: &Matrix| m.as_slice().iter().all(|v| v.is_finite());
+    assert!(finite(&exact::attention(inputs)), "exact attention");
+    let params = ElsaParams::for_dims(64, 64, &mut SeededRng::new(7));
+    let learned = ElsaAttention::learn(params.clone(), std::slice::from_ref(inputs), 1.0);
+    for operator in [learned, ElsaAttention::exact_fallback(params)] {
+        assert!(finite(&operator.forward(inputs).0), "threshold {}", operator.threshold());
+    }
 }
