@@ -26,12 +26,6 @@ fn saturating_u64(x: u128) -> u64 {
     u64::try_from(x).unwrap_or(u64::MAX)
 }
 
-/// Scales a `u64` per-layer count by a layer multiplier in `u128`, saturating
-/// on overflow.
-fn scaled(x: u64, by: u128) -> u64 {
-    saturating_u64(u128::from(x) * by)
-}
-
 /// Rounds a nonnegative `f64` operation estimate into the `u64` counter
 /// domain.
 fn rounded_u64(x: f64) -> u64 {
@@ -118,22 +112,6 @@ impl LayerFlops {
     #[must_use]
     pub fn attention_fraction(&self) -> f64 {
         self.attention_kernel() as f64 / self.total() as f64
-    }
-}
-
-/// FLOPs for the whole model (all layers) at sequence length `n`.
-#[must_use]
-pub fn model_flops(config: &TransformerConfig, n: usize) -> LayerFlops {
-    let l = LayerFlops::for_layer(config, n);
-    let layers = wide(config.num_layers);
-    LayerFlops {
-        qkv_projection: scaled(l.qkv_projection, layers),
-        attention_scores: scaled(l.attention_scores, layers),
-        softmax: scaled(l.softmax, layers),
-        weighted_sum: scaled(l.weighted_sum, layers),
-        output_projection: scaled(l.output_projection, layers),
-        ffn: scaled(l.ffn, layers),
-        other: scaled(l.other, layers),
     }
 }
 
@@ -430,14 +408,6 @@ mod tests {
         let f_full = LayerFlops::for_layer(&cfg, 512).attention_fraction();
         let f_slim = LayerFlops::for_layer(&slim, 512).attention_fraction();
         assert!(f_slim > f_full);
-    }
-
-    #[test]
-    fn model_flops_scale_linearly_in_layers() {
-        let cfg = bert_large();
-        let one = LayerFlops::for_layer(&cfg, 512).total();
-        let all = model_flops(&cfg, 512).total();
-        assert_eq!(all, one * 24);
     }
 
     #[test]

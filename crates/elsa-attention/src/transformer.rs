@@ -77,14 +77,6 @@ impl TransformerConfig {
         let d_ff = ((self.d_ff as f64 * factor).round() as usize).max(1);
         Self { d_ff, ..*self }
     }
-
-    /// Returns a copy with the maximum sequence length scaled by `factor`
-    /// (used for the Fig. 2 `4× sequence length` variants).
-    #[must_use]
-    pub fn with_seq_len_scaled(&self, factor: f64) -> Self {
-        let max_seq_len = ((self.max_seq_len as f64 * factor).round() as usize).max(1);
-        Self { max_seq_len, ..*self }
-    }
 }
 
 /// Layer normalization with learned scale and bias.
@@ -273,7 +265,6 @@ mod tests {
         assert_eq!(c.d_head(), 64);
         assert_eq!(c.attention_sublayers(), 384); // the BERT-large number from §III-E
         assert_eq!(c.with_ffn_scaled(0.25).d_ff, 1024);
-        assert_eq!(c.with_seq_len_scaled(4.0).max_seq_len, 2048);
     }
 
     #[test]

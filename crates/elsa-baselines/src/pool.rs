@@ -204,17 +204,23 @@ mod tests {
 
     #[test]
     fn segments_partition_rows() {
-        // Non-divisible n: segment bounds must tile [0, n) exactly.
+        // Max-pooling the identity reads the segments off `pool_rows`
+        // itself: pooled row j holds 1 exactly in the columns of the rows
+        // segment j covers. Non-divisible n: the segments must tile [0, n)
+        // exactly, in order.
         for (n, m) in [(37usize, 8usize), (64, 5), (9, 9), (100, 1)] {
+            let identity = Matrix::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 });
+            let pooled = pool_rows(&identity, m, PoolMode::Max);
             let mut covered = 0usize;
             for j in 0..m {
-                let start = j * n / m;
-                let end = (j + 1) * n / m;
-                assert!(end > start, "empty segment {j} of {m} over {n}");
-                assert_eq!(start, covered, "gap before segment {j}");
+                let rows: Vec<usize> = (0..n).filter(|&i| pooled[(j, i)] == 1.0).collect();
+                assert!(!rows.is_empty(), "empty segment {j} of {m} over {n}");
+                assert_eq!(rows[0], covered, "gap or overlap before segment {j} of {m} over {n}");
+                let end = rows[0] + rows.len();
+                assert_eq!(rows[rows.len() - 1], end - 1, "segment {j} of {m} over {n} has a hole");
                 covered = end;
             }
-            assert_eq!(covered, n);
+            assert_eq!(covered, n, "segments of {m} over {n} stop short");
         }
     }
 

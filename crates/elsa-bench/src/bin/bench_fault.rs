@@ -15,7 +15,7 @@
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_fault::{FaultPlan, FaultRates};
 use elsa_linalg::SeededRng;
-use elsa_serve::{ArrivalTrace, OnlineServer, ServeConfig};
+use elsa_serve::{OnlineServer, ServeConfig, SessionTrace};
 use elsa_sim::AcceleratorConfig;
 use elsa_workloads::trace::WorkloadTrace;
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
@@ -44,7 +44,7 @@ fn main() {
         ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(21)), &train, 1.0)
     };
     let recorded = WorkloadTrace::record(&workload, BATCH, &mut SeededRng::new(22));
-    let batch = ArrivalTrace::simultaneous(&recorded);
+    let batch = SessionTrace::simultaneous(&recorded);
 
     let sweeps: [(&'static str, fn(f64) -> FaultRates); 3] = [
         ("transient", |r| FaultRates { transient: r, ..FaultRates::none() }),

@@ -23,8 +23,8 @@ use elsa_fault::FaultPlan;
 use elsa_linalg::SeededRng;
 use elsa_serve::clock::secs_to_ns;
 use elsa_serve::{
-    ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, BatcherMode, OnlineServer,
-    ServeConfig, ServeReport, ServiceEstimator,
+    ArrivalConfig, Backpressure, BatchPolicy, BatcherMode, OnlineServer, ServeConfig, ServeReport,
+    ServiceEstimator, SessionTrace,
 };
 use elsa_sim::AcceleratorConfig;
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
@@ -46,8 +46,8 @@ fn operator() -> ElsaAttention {
     ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(31)), &train, 1.0)
 }
 
-fn trace_at(lambda: f64, slo_ns: Option<u64>) -> ArrivalTrace {
-    ArrivalTrace::generate(
+fn trace_at(lambda: f64, slo_ns: Option<u64>) -> SessionTrace {
+    SessionTrace::poisson(
         &workload(),
         &ArrivalConfig { lambda_per_s: lambda, count: COUNT, slo_ns, burst: None },
         &mut SeededRng::new(TRACE_SEED),

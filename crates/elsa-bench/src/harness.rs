@@ -320,6 +320,20 @@ mod tests {
         assert!(aggr.candidate_fraction <= cons.candidate_fraction + 1e-9);
         assert!(aggr.latency_s <= cons.latency_s + 1e-12);
         assert!(cons.latency_s <= base.latency_s + 1e-12);
+        // The §V-C operating-point rule: each point's loss is within its
+        // budget, or nothing on the grid was and it fell back to the most
+        // conservative p.
+        for result in &perf.points {
+            if let Some(budget) = result.point.loss_budget(&fast_workload()) {
+                assert!(
+                    result.loss_percent <= budget || result.p == P_GRID[0],
+                    "{}: loss {} over budget {budget} at p = {}",
+                    result.point.name(),
+                    result.loss_percent,
+                    result.p
+                );
+            }
+        }
     }
 
     #[test]

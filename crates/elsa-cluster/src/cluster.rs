@@ -34,8 +34,8 @@ use elsa_linalg::ops;
 use elsa_serve::clock::ns_to_secs;
 use elsa_serve::{
     prepare_turns, session_admissions, unit_health, CacheConfig, NodeEngine, NodeParts,
-    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, RuntimeError, ServeConfig, SessionBook,
-    SessionRegistry, SessionTrace, SessionTurnRequest,
+    OnlineRecord, Outcome, PreparedRequest, QueuedRequest, RuntimeError, ServeConfig, SessionTrace,
+    SessionTurnRequest,
 };
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
@@ -236,9 +236,7 @@ impl Cluster {
             )
             .with_service_scale(scale);
             if let Some(cache) = self.config.cache {
-                let hasher = self.accel.operator().params().hasher();
-                let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
-                engine = engine.with_sessions(SessionBook::new(registry, &trace.requests));
+                engine = engine.with_sessions(cache, &trace.requests);
             }
             engines.push(engine);
         }

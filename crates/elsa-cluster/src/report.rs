@@ -6,9 +6,10 @@
 //! winner of each hedged pair, plus router-decided failures), the per-node
 //! [`NodeReport`]s (dispatch accounting, decode-cache behavior, unit
 //! health, death time), and the [`RouterStats`] of the front-end itself.
-//! [`ClusterReport::to_serve_report`] projects the merged records onto the
-//! single-node [`ServeReport`] vocabulary, which is how the battery proves
-//! a one-node zero-fault cluster bit-identical to
+//! [`ClusterReport::to_serve_report`] projects the merged records, summed
+//! bucket accounting and summed cache statistics onto the single-node
+//! [`ServeReport`], which is how the battery proves a one-node zero-fault
+//! cluster bit-identical to
 //! [`OnlineServer::serve`](elsa_serve::OnlineServer::serve).
 
 use elsa_fault::HealthSnapshot;
@@ -171,11 +172,11 @@ impl ClusterReport {
         }))
     }
 
-    /// Projects the merged records onto the single-node [`ServeReport`]
-    /// vocabulary. Per-bucket stats are element-wise sums across nodes
-    /// (every node runs the same batch policy, so bounds align). On a
-    /// one-node zero-fault fleet this is bit-identical to the node's own
-    /// report.
+    /// Projects the merged records onto the single-node [`ServeReport`].
+    /// Per-bucket stats are element-wise sums across nodes (every node runs
+    /// the same batch policy, so bounds align), and the cache statistics are
+    /// [`cache`](Self::cache). On a one-node zero-fault fleet this is
+    /// bit-identical to the node's own report.
     #[must_use]
     pub fn to_serve_report(&self) -> ServeReport {
         let records: Vec<OnlineRecord> = self.records.iter().map(|r| r.record).collect();
@@ -193,7 +194,7 @@ impl ClusterReport {
                 acc.real_rows = acc.real_rows.saturating_add(s.real_rows);
             }
         }
-        ServeReport { records, bucket_stats }
+        ServeReport { records, bucket_stats, cache: self.cache() }
     }
 
     /// SLO attainment per arrival window: `(window_start_ns, attainment)`

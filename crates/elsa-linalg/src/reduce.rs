@@ -39,25 +39,6 @@ pub fn sum_f32<I: IntoIterator<Item = f32>>(values: I) -> f32 {
     values.into_iter().fold(0.0, |acc, x| acc + x)
 }
 
-/// Dot product of two `f64` slices in index order, truncating to the
-/// shorter length: the fused map-multiply form of [`sum_f64`].
-#[must_use]
-pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
-    sum_f64(a.iter().zip(b).map(|(x, y)| x * y))
-}
-
-/// Arithmetic mean in iterator order; `0.0` for an empty input.
-#[must_use]
-pub fn mean_f64<I: IntoIterator<Item = f64>>(values: I) -> f64 {
-    let mut count = 0u64;
-    let total = sum_f64(values.into_iter().inspect(|_| count += 1));
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,19 +78,5 @@ mod tests {
         let forward = sum_f64(xs.iter().copied());
         let backward = sum_f64(xs.iter().rev().copied());
         assert_ne!(forward.to_bits(), backward.to_bits());
-    }
-
-    #[test]
-    fn dot_truncates_to_shorter_and_matches_manual_fold() {
-        let a = [1.5, 2.0, 3.0];
-        let b = [4.0, 0.5];
-        assert_eq!(dot_f64(&a, &b), 1.5 * 4.0 + 2.0 * 0.5);
-    }
-
-    #[test]
-    fn mean_handles_empty_and_matches_sum_over_count() {
-        assert_eq!(mean_f64(std::iter::empty()), 0.0);
-        let xs = [2.0, 4.0, 9.0];
-        assert_eq!(mean_f64(xs.iter().copied()), (2.0 + 4.0 + 9.0) / 3.0);
     }
 }

@@ -161,22 +161,6 @@ impl Fixed {
         Self { raw: 0, spec }
     }
 
-    /// Builds a value from its raw (scaled) integer representation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `raw` lies outside the representable raw range of `spec`;
-    /// raw values come from inside the crate where formats are tracked
-    /// explicitly, so an out-of-range raw indicates a datapath modelling bug.
-    #[must_use]
-    pub fn from_raw(raw: i64, spec: FixedSpec) -> Self {
-        assert!(
-            (spec.min_raw()..=spec.max_raw()).contains(&raw),
-            "raw value {raw} out of range for {spec}"
-        );
-        Self { raw, spec }
-    }
-
     /// Quantizes an `f64`, rounding to nearest and saturating at the bounds.
     /// NaN quantizes to zero (hardware quantizers never see NaN; this keeps
     /// the function total).

@@ -46,12 +46,10 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
-pub mod adder_tree;
 pub mod cfloat;
 pub mod fixed;
 pub mod lut;
 
-pub use adder_tree::AdderTree;
 pub use cfloat::CustomFloat;
 pub use fixed::{Fixed, FixedSpec, HashFixed, QkvFixed};
 pub use lut::{CosLut, ExpUnit, ReciprocalUnit, SqrtUnit};

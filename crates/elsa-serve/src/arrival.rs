@@ -1,10 +1,11 @@
 //! Seeded open-loop arrival generation.
 //!
-//! An [`ArrivalTrace`] is the online analogue of
+//! [`SessionTrace::poisson`] is the online analogue of
 //! [`elsa_workloads::WorkloadTrace`]: a fully materialized, replayable
-//! description of *what* arrives *when*. Request shapes come from the same
-//! per-workload length distribution the offline traces use
-//! ([`Workload::sample_entry`]); arrival instants are exponential
+//! description of *what* arrives *when*, each request one whole
+//! self-attention invocation served as a single-turn session. Request shapes
+//! come from the same per-workload length distribution the offline traces
+//! use ([`Workload::sample_entry`]); arrival instants are exponential
 //! inter-arrival draws at an offered load λ (a Poisson process), optionally
 //! modulated by periodic [`Burst`] phases.
 //!
@@ -15,12 +16,12 @@
 //! "SLO attainment degrades monotonically in λ" a sharp, testable statement
 //! instead of a statistical tendency across unrelated workloads.
 
-use elsa_attention::exact::AttentionInputs;
 use elsa_linalg::SeededRng;
 use elsa_workloads::trace::TraceEntry;
 use elsa_workloads::{Workload, WorkloadTrace};
 
 use crate::clock::secs_to_ns;
+use crate::session::{SessionTrace, SessionTurnRequest};
 
 /// Periodic burst modulation of the base arrival rate.
 ///
@@ -60,29 +61,28 @@ impl ArrivalConfig {
     }
 }
 
-/// One request of an arrival trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArrivalRequest {
-    /// Index of the request in arrival order (the identity every fault
-    /// decision and record is keyed on).
-    pub id: usize,
-    /// Arrival instant on the virtual clock.
-    pub arrival_ns: u64,
-    /// Absolute completion deadline, if the request carries an SLO.
-    pub deadline_ns: Option<u64>,
-    /// The replayable request shape (generator config + seed).
-    pub entry: TraceEntry,
+/// Request `id` as a session of its own whose only turn is the whole
+/// invocation: every token appended at once, nothing left to decode.
+const fn whole_invocation(
+    id: usize,
+    arrival_ns: u64,
+    deadline_ns: Option<u64>,
+    entry: TraceEntry,
+) -> SessionTurnRequest {
+    SessionTurnRequest {
+        id,
+        arrival_ns,
+        deadline_ns,
+        session: id as u64,
+        prefix_len: entry.pattern.n_real,
+        appended: entry.pattern.n_real,
+        last_turn: true,
+        entry,
+    }
 }
 
-/// A replayable stream of timed attention requests, sorted by arrival.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrivalTrace {
-    /// The requests in arrival order.
-    pub requests: Vec<ArrivalRequest>,
-}
-
-impl ArrivalTrace {
-    /// Generates an open-loop trace for a workload.
+impl SessionTrace {
+    /// Generates an open-loop trace of whole invocations for a workload.
     ///
     /// Shapes and inter-arrival times come from independent forks of `rng`,
     /// so regenerating with a different `lambda_per_s` (or different
@@ -95,7 +95,7 @@ impl ArrivalTrace {
     /// a burst has a zero period, a window longer than its period, or a
     /// non-positive multiplier.
     #[must_use]
-    pub fn generate(workload: &Workload, config: &ArrivalConfig, rng: &mut SeededRng) -> Self {
+    pub fn poisson(workload: &Workload, config: &ArrivalConfig, rng: &mut SeededRng) -> Self {
         assert!(
             config.lambda_per_s > 0.0 && config.lambda_per_s.is_finite(),
             "offered load must be positive, got {}",
@@ -116,19 +116,19 @@ impl ArrivalTrace {
                 // Exponential inter-arrival: -ln(1-U)/rate, U ∈ [0, 1).
                 let dt_s = -(1.0 - time_rng.uniform()).ln() / rate;
                 t_ns = t_ns.saturating_add(secs_to_ns(dt_s));
-                ArrivalRequest {
+                whole_invocation(
                     id,
-                    arrival_ns: t_ns,
-                    deadline_ns: config.slo_ns.map(|slo| t_ns.saturating_add(slo)),
-                    entry: workload.sample_entry(&mut shape_rng, id as u64),
-                }
+                    t_ns,
+                    config.slo_ns.map(|slo| t_ns.saturating_add(slo)),
+                    workload.sample_entry(&mut shape_rng, id as u64),
+                )
             })
             .collect();
         Self { requests }
     }
 
-    /// Every entry of a recorded trace arriving simultaneously at t = 0
-    /// with no deadlines — batch serving: under
+    /// Every entry of a recorded trace as a whole invocation arriving at
+    /// t = 0 with no deadline — batch serving: under
     /// [`ServeConfig::immediate`](crate::ServeConfig::immediate) the
     /// pipeline dispatches the batch first-come first-served onto the
     /// unit that frees first.
@@ -138,40 +138,9 @@ impl ArrivalTrace {
             .entries
             .iter()
             .enumerate()
-            .map(|(id, &entry)| ArrivalRequest { id, arrival_ns: 0, deadline_ns: None, entry })
+            .map(|(id, &entry)| whole_invocation(id, 0, None, entry))
             .collect();
         Self { requests }
-    }
-
-    /// Number of requests.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.requests.len()
-    }
-
-    /// Whether the trace is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.requests.is_empty()
-    }
-
-    /// Regenerates every request's attention inputs, in arrival order.
-    #[must_use]
-    pub fn materialize(&self) -> Vec<AttentionInputs> {
-        self.requests.iter().map(|r| r.entry.materialize()).collect()
-    }
-
-    /// The realized offered load: requests divided by the arrival span.
-    /// `0.0` for traces with fewer than two requests.
-    #[must_use]
-    pub fn offered_lambda_per_s(&self) -> f64 {
-        match (self.requests.first(), self.requests.last()) {
-            (Some(first), Some(last)) if last.arrival_ns > first.arrival_ns => {
-                (self.len() - 1) as f64
-                    / crate::clock::ns_to_secs(last.arrival_ns - first.arrival_ns)
-            }
-            _ => 0.0,
-        }
     }
 }
 
@@ -194,18 +163,20 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let cfg = ArrivalConfig::poisson(1000.0, 32);
-        let a = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(1));
-        let b = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(1));
+        let a = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(1));
+        let b = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(1));
         assert_eq!(a, b);
-        assert_eq!(a.materialize(), b.materialize());
     }
 
     #[test]
     fn arrivals_are_sorted_and_rate_is_plausible() {
         let cfg = ArrivalConfig::poisson(10_000.0, 256);
-        let trace = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(2));
-        assert!(trace.requests.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns));
-        let realized = trace.offered_lambda_per_s();
+        let trace = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(2));
+        let reqs = &trace.requests;
+        assert!(reqs.windows(2).all(|w| w[0].arrival_ns <= w[1].arrival_ns));
+        // Requests after the first over the span from the first to the last.
+        let span_ns = reqs[reqs.len() - 1].arrival_ns - reqs[0].arrival_ns;
+        let realized = (reqs.len() - 1) as f64 / crate::clock::ns_to_secs(span_ns);
         assert!(
             (5_000.0..20_000.0).contains(&realized),
             "realized λ = {realized} too far from 10k"
@@ -214,12 +185,12 @@ mod tests {
 
     #[test]
     fn same_seed_different_lambda_same_shapes_scaled_times() {
-        let slow = ArrivalTrace::generate(
+        let slow = SessionTrace::poisson(
             &workload(),
             &ArrivalConfig::poisson(1000.0, 48),
             &mut SeededRng::new(3),
         );
-        let fast = ArrivalTrace::generate(
+        let fast = SessionTrace::poisson(
             &workload(),
             &ArrivalConfig::poisson(4000.0, 48),
             &mut SeededRng::new(3),
@@ -233,7 +204,7 @@ mod tests {
     #[test]
     fn slo_deadlines_are_arrival_relative() {
         let cfg = ArrivalConfig { slo_ns: Some(5_000), ..ArrivalConfig::poisson(1000.0, 8) };
-        let trace = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(4));
+        let trace = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(4));
         for r in &trace.requests {
             assert_eq!(r.deadline_ns, Some(r.arrival_ns + 5_000));
         }
@@ -248,8 +219,8 @@ mod tests {
             burst: Some(burst),
             ..ArrivalConfig::poisson(10_000.0, 512)
         };
-        let bursty = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(5));
-        let calm = ArrivalTrace::generate(
+        let bursty = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(5));
+        let calm = SessionTrace::poisson(
             &workload(),
             &ArrivalConfig::poisson(10_000.0, 512),
             &mut SeededRng::new(5),
@@ -268,9 +239,9 @@ mod tests {
     #[test]
     fn simultaneous_trace_arrives_at_zero() {
         let recorded = WorkloadTrace::record(&workload(), 5, &mut SeededRng::new(8));
-        let online = ArrivalTrace::simultaneous(&recorded);
+        let online = SessionTrace::simultaneous(&recorded);
         assert!(online.requests.iter().all(|r| r.arrival_ns == 0 && r.deadline_ns.is_none()));
-        assert_eq!(online.materialize(), recorded.materialize());
-        assert_eq!(online.offered_lambda_per_s(), 0.0);
+        let entries: Vec<TraceEntry> = online.requests.iter().map(|r| r.entry).collect();
+        assert_eq!(entries, recorded.entries);
     }
 }

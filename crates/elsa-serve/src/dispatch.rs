@@ -2,9 +2,9 @@
 //!
 //! [`OnlineServer`] has one request path. [`OnlineServer::serve_sessions`]
 //! replays a [`SessionTrace`] through the full online pipeline on the
-//! virtual clock. [`OnlineServer::serve`] replays an [`ArrivalTrace`] as
-//! single-turn sessions ([`SessionTrace::single_turn`]) with no decode
-//! cache: as in the paper's host interface, each request is one whole
+//! virtual clock with a decode cache; [`OnlineServer::serve`] replays it
+//! with none. A plain trace ([`SessionTrace::poisson`]) holds single-turn
+//! sessions: as in the paper's host interface, each request is one whole
 //! self-attention invocation. Either way the pipeline is:
 //!
 //! 1. **Precompute** (the only parallel stage): [`prepare_turns`] runs
@@ -25,8 +25,8 @@
 //!    request whose estimated completion would overshoot its deadline is
 //!    **shed** before it wastes accelerator time.
 //!
-//! Batch serving is the degenerate case: [`ServeConfig::immediate`] on an
-//! [`ArrivalTrace::simultaneous`] trace dispatches every request alone at
+//! Batch serving is the degenerate case: [`ServeConfig::immediate`] on a
+//! [`SessionTrace::simultaneous`] trace dispatches every request alone at
 //! t = 0, first-come first-served onto the unit that frees first.
 //!
 //! Every arrival produces exactly one [`OnlineRecord`], so
@@ -36,7 +36,7 @@
 //! Multi-turn traces use two more pieces of the same engine: **session
 //! affinity** (every turn of a session dispatches through the bucket pinned
 //! at the session's first admission, so one conversation never straddles
-//! batching queues) and the **decode cache** (a [`SessionRegistry`]
+//! batching queues) and the **decode cache** (a [`SessionRegistry`](crate::SessionRegistry)
 //! deciding per turn whether the incremental `StreamingSession` state is
 //! resident — a hit pays only the appended tokens' preprocessing cycles, a
 //! miss pays the full from-scratch rebuild). A single-turn session has
@@ -47,16 +47,14 @@
 use elsa_core::ElsaAttention;
 use elsa_fault::FaultPlan;
 use elsa_linalg::ops;
-use elsa_linalg::reduce::sum_f64;
 use elsa_sim::{AcceleratorConfig, ElsaAccelerator};
 
-use crate::arrival::ArrivalTrace;
 use crate::batcher::{BatchPolicy, BatcherMode, BucketStats};
 use crate::clock::ns_to_secs;
-use crate::engine::{prepare_turns, session_admissions, unit_health, NodeEngine, SessionBook};
+use crate::engine::{prepare_turns, session_admissions, unit_health, NodeEngine};
 use crate::error::RuntimeError;
 use crate::queue::Backpressure;
-use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTrace};
+use crate::session::{CacheConfig, CacheStats, SessionTrace};
 
 /// Full configuration of the online pipeline.
 #[derive(Debug, Clone, PartialEq)]
@@ -96,7 +94,7 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     /// No queueing, no batching, no shedding: dispatch every request alone
-    /// the moment it arrives. On an [`ArrivalTrace::simultaneous`] trace
+    /// the moment it arrives. On a [`SessionTrace::simultaneous`] trace
     /// this is batch serving: requests go first-come first-served to the
     /// unit that frees first.
     #[must_use]
@@ -177,6 +175,9 @@ pub struct ServeReport {
     pub records: Vec<OnlineRecord>,
     /// Dispatch accounting per length bucket.
     pub bucket_stats: Vec<BucketStats>,
+    /// Hit/miss/eviction accounting of the decode cache; `None` when the
+    /// trace was served without one.
+    pub cache: Option<CacheStats>,
 }
 
 impl ServeReport {
@@ -268,18 +269,6 @@ impl ServeReport {
         self.served_percentile(|r| r.completion_s, q)
     }
 
-    /// Mean queue delay over the served requests; `0.0` when nothing was
-    /// served.
-    #[must_use]
-    pub fn mean_queue_delay_s(&self) -> f64 {
-        let count = self.served().count();
-        if count == 0 {
-            0.0
-        } else {
-            sum_f64(self.served().map(|r| r.queue_delay_s)) / count as f64
-        }
-    }
-
     /// Fraction of deadline-carrying requests served within their deadline;
     /// `1.0` when no request carried a deadline (nothing to miss).
     #[must_use]
@@ -307,17 +296,6 @@ impl ServeReport {
             self.served_count() as f64 / makespan
         }
     }
-}
-
-/// The outcome of one session-serving run: the ordinary serving report plus
-/// the cache's behavior.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionReport {
-    /// Per-turn records and bucket accounting, exactly as
-    /// [`OnlineServer::serve`] reports them.
-    pub serve: ServeReport,
-    /// Hit/miss/eviction accounting of the decode cache.
-    pub cache: CacheStats,
 }
 
 /// The online serving front-end: one operator, one accelerator pool, one
@@ -385,15 +363,20 @@ impl OnlineServer {
         &self.plan
     }
 
-    /// Replays an arrival trace through the pipeline: each request is
-    /// served as a single-turn session (the whole invocation in one turn)
-    /// with no decode cache.
+    /// Replays a trace through the pipeline with no decode cache, so the
+    /// report's `cache` is `None`. On a plain trace
+    /// ([`SessionTrace::poisson`], [`SessionTrace::simultaneous`]) each
+    /// request is a single-turn session: the whole invocation in one turn.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::NoHealthyUnits`] when the fault plan killed
-    /// every unit, or [`RuntimeError::Request`] when a request does not fit
-    /// the hardware or its entry fails
+    /// every unit, or [`RuntimeError::Request`] when a turn does not fit
+    /// the hardware, is malformed
+    /// ([`FitError::MalformedTurn`](elsa_sim::FitError::MalformedTurn)),
+    /// holds no query row at its appended positions
+    /// ([`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow)) or has an
+    /// entry that fails
     /// [`AttentionPatternConfig::validate`](elsa_workloads::AttentionPatternConfig::validate)
     /// ([`FitError::InvalidEntry`](elsa_sim::FitError::InvalidEntry)); the
     /// trace is rejected before any virtual time passes.
@@ -401,14 +384,15 @@ impl OnlineServer {
     /// # Panics
     ///
     /// Panics if the trace is not sorted by arrival or its ids are not the
-    /// arrival-order indices (both are guaranteed by every
-    /// [`ArrivalTrace`] constructor).
-    pub fn serve(&self, trace: &ArrivalTrace) -> Result<ServeReport, RuntimeError> {
-        self.replay(&SessionTrace::single_turn(trace), None).map(|(report, _)| report)
+    /// arrival-order indices (both are guaranteed by every [`SessionTrace`]
+    /// constructor).
+    pub fn serve(&self, trace: &SessionTrace) -> Result<ServeReport, RuntimeError> {
+        self.replay(trace, None)
     }
 
     /// Replays a multi-turn session trace through the pipeline with session
-    /// affinity and the decode cache model (see the module docs). The cache
+    /// affinity and the decode cache model (see the module docs); the
+    /// report's `cache` holds the cache's statistics. The cache
     /// affects charged service times only — each turn's functional output is
     /// computed from its full inputs regardless — so the accounting
     /// invariant `offered = served + shed + timed-out + failed` and the
@@ -424,24 +408,17 @@ impl OnlineServer {
     ///
     /// # Errors
     ///
-    /// Same as [`OnlineServer::serve`], an invalid entry included; a
-    /// malformed turn or one that holds no query row at its appended
-    /// positions is a [`RuntimeError::Request`] too, with
-    /// [`FitError::MalformedTurn`](elsa_sim::FitError::MalformedTurn) or
-    /// [`FitError::NoQueryRow`](elsa_sim::FitError::NoQueryRow).
+    /// Same as [`OnlineServer::serve`].
     ///
     /// # Panics
     ///
-    /// Panics if the trace is not sorted by arrival or its ids are not the
-    /// arrival-order indices (both are guaranteed by every [`SessionTrace`]
-    /// constructor).
+    /// Same as [`OnlineServer::serve`].
     pub fn serve_sessions(
         &self,
         trace: &SessionTrace,
         cache: CacheConfig,
-    ) -> Result<SessionReport, RuntimeError> {
-        let (serve, stats) = self.replay(trace, Some(cache))?;
-        Ok(SessionReport { serve, cache: stats.unwrap_or_default() })
+    ) -> Result<ServeReport, RuntimeError> {
+        self.replay(trace, Some(cache))
     }
 
     /// The one replay behind [`serve`](Self::serve) and
@@ -459,7 +436,7 @@ impl OnlineServer {
         &self,
         trace: &SessionTrace,
         cache: Option<CacheConfig>,
-    ) -> Result<(ServeReport, Option<CacheStats>), RuntimeError> {
+    ) -> Result<ServeReport, RuntimeError> {
         let reqs = &trace.requests;
         assert!(
             reqs.iter().zip(reqs.iter().skip(1)).all(|(a, b)| a.arrival_ns <= b.arrival_ns),
@@ -484,9 +461,7 @@ impl OnlineServer {
             health,
         );
         if let Some(cache) = cache {
-            let hasher = self.accel.operator().params().hasher();
-            let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
-            engine = engine.with_sessions(SessionBook::new(registry, reqs));
+            engine = engine.with_sessions(cache, reqs);
         }
         for request in session_admissions(&self.config.batch, reqs) {
             engine.flush_expired(request.arrival_ns);
@@ -503,14 +478,14 @@ impl OnlineServer {
             // elsa-lint: allow(panic-policy) reason="exact-accounting invariant: every request is finished exactly once; a hole here is a bug the ServeReport must not paper over"
             .map(|(i, slot)| slot.unwrap_or_else(|| panic!("request {i} left unaccounted")))
             .collect();
-        Ok((ServeReport { records, bucket_stats: parts.bucket_stats }, parts.cache))
+        Ok(ServeReport { records, bucket_stats: parts.bucket_stats, cache: parts.cache })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrival::{ArrivalConfig, ArrivalTrace};
+    use crate::arrival::ArrivalConfig;
     use elsa_core::attention::ElsaParams;
     use elsa_linalg::SeededRng;
     use elsa_workloads::{DatasetKind, ModelKind, Workload};
@@ -533,9 +508,9 @@ mod tests {
         AcceleratorConfig { n_max: 200, num_accelerators: 4, ..AcceleratorConfig::paper() }
     }
 
-    fn trace(count: usize, lambda: f64, slo_ns: Option<u64>, seed: u64) -> ArrivalTrace {
+    fn trace(count: usize, lambda: f64, slo_ns: Option<u64>, seed: u64) -> SessionTrace {
         let cfg = ArrivalConfig { lambda_per_s: lambda, count, slo_ns, burst: None };
-        ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(seed))
+        SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(seed))
     }
 
     #[test]
@@ -729,7 +704,7 @@ mod tests {
 
     #[test]
     fn multi_turn_sessions_hit_the_cache() {
-        use crate::session::{CacheConfig, SessionArrivalConfig, SessionTrace};
+        use crate::session::SessionArrivalConfig;
         let server =
             OnlineServer::new(config(), operator(21), FaultPlan::none(), ServeConfig::default());
         let cfg = SessionArrivalConfig {
@@ -739,8 +714,7 @@ mod tests {
             max_decode_turns: Some(3),
         };
         let trace = SessionTrace::generate(&workload(), &cfg, &mut SeededRng::new(22));
-        let report = server.serve_sessions(&trace, CacheConfig::unbounded()).expect("healthy");
-        let r = &report.serve;
+        let r = server.serve_sessions(&trace, CacheConfig::unbounded()).expect("healthy");
         assert_eq!(r.offered_count(), trace.len());
         assert_eq!(
             r.served_count() + r.shed_count() + r.timed_out_count() + r.failed_count(),
@@ -749,11 +723,12 @@ mod tests {
         );
         // Unbounded cache, nothing dropped: every decode turn after its
         // prefill is a hit, one cold start per session, no staleness.
-        assert_eq!(report.cache.cold, 4);
-        assert_eq!(report.cache.hits as usize, trace.len() - 4);
-        assert_eq!(report.cache.stale, 0);
-        assert_eq!(report.cache.evictions, 0);
-        assert!(report.cache.peak_bytes > 0);
+        let cache = r.cache.expect("served with a cache");
+        assert_eq!(cache.cold, 4);
+        assert_eq!(cache.hits as usize, trace.len() - 4);
+        assert_eq!(cache.stale, 0);
+        assert_eq!(cache.evictions, 0);
+        assert!(cache.peak_bytes > 0);
         // A hit decode turn is charged strictly less than its from-scratch
         // precompute (the skipped context re-hashing).
         let hit_turn = r
@@ -770,7 +745,6 @@ mod tests {
 
     #[test]
     fn single_turn_unbounded_sessions_match_plain_serving_bitwise() {
-        use crate::session::{CacheConfig, SessionTrace};
         let make = || {
             OnlineServer::new(
                 config(),
@@ -784,17 +758,19 @@ mod tests {
         };
         let arrivals = trace(24, 50_000.0, Some(5_000_000), 24);
         let plain = make().serve(&arrivals).expect("healthy");
-        let sessions = make()
-            .serve_sessions(&SessionTrace::single_turn(&arrivals), CacheConfig::unbounded())
-            .expect("healthy");
-        assert_eq!(plain, sessions.serve, "degenerate session serving is bit-identical");
-        assert_eq!(sessions.cache.hits, 0);
-        assert_eq!(sessions.cache.cold, sessions.serve.served_count() as u64);
+        let sessions = make().serve_sessions(&arrivals, CacheConfig::unbounded()).expect("healthy");
+        // The cache statistics are the one field that differs by design.
+        assert_eq!(plain.cache, None);
+        assert_eq!(plain.records, sessions.records, "degenerate session serving is bit-identical");
+        assert_eq!(plain.bucket_stats, sessions.bucket_stats);
+        let cache = sessions.cache.expect("served with a cache");
+        assert_eq!(cache.hits, 0);
+        assert_eq!(cache.cold, sessions.served_count() as u64);
     }
 
     #[test]
     fn dropped_turns_force_stale_rebuilds() {
-        use crate::session::{CacheConfig, SessionArrivalConfig, SessionTrace};
+        use crate::session::SessionArrivalConfig;
         // An SLO so tight that some turns time out in the queue on one unit:
         // the following turn of that session must be stale, never a hit.
         let server = OnlineServer::new(
@@ -810,8 +786,7 @@ mod tests {
             max_decode_turns: Some(4),
         };
         let trace = SessionTrace::generate(&workload(), &cfg, &mut SeededRng::new(26));
-        let report = server.serve_sessions(&trace, CacheConfig::unbounded()).expect("healthy");
-        let r = &report.serve;
+        let r = server.serve_sessions(&trace, CacheConfig::unbounded()).expect("healthy");
         assert_eq!(
             r.served_count() + r.shed_count() + r.timed_out_count() + r.failed_count(),
             trace.len(),
@@ -819,17 +794,15 @@ mod tests {
         );
         assert!(r.shed_count() + r.timed_out_count() > 0, "overload actually dropped turns");
         // Cache classification only covers served turns.
-        assert_eq!(
-            report.cache.hits + report.cache.cold + report.cache.stale,
-            r.served_count() as u64
-        );
+        let cache = r.cache.expect("served with a cache");
+        assert_eq!(cache.hits + cache.cold + cache.stale, r.served_count() as u64);
     }
 
     #[test]
     fn empty_trace_yields_empty_report() {
         let server =
             OnlineServer::new(config(), operator(20), FaultPlan::none(), ServeConfig::default());
-        let report = server.serve(&ArrivalTrace { requests: Vec::new() }).expect("empty is fine");
+        let report = server.serve(&SessionTrace { requests: Vec::new() }).expect("empty is fine");
         assert_eq!(report.offered_count(), 0);
         assert_eq!(report.slo_attainment(), 1.0);
         assert_eq!(report.queue_delay_percentile_s(99.0), 0.0);
@@ -849,7 +822,7 @@ mod tests {
         let recorded =
             elsa_workloads::WorkloadTrace::record(&workload(), 3, &mut SeededRng::new(8));
         let report =
-            server.serve(&ArrivalTrace::simultaneous(&recorded)).expect("pool itself is healthy");
+            server.serve(&SessionTrace::simultaneous(&recorded)).expect("pool itself is healthy");
         assert_eq!(report.failed_count(), 3);
         assert_eq!(report.served_count(), 0);
         assert!(
@@ -861,7 +834,6 @@ mod tests {
             report.completion_percentile_s(50.0),
             report.completion_percentile_s(99.0),
             report.queue_delay_percentile_s(99.0),
-            report.mean_queue_delay_s(),
         ] {
             assert_eq!(value, 0.0, "all-failed reports read 0, never NaN");
         }

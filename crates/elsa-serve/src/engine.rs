@@ -20,6 +20,9 @@
 //!   least-loaded routing and queue-delay autoscaling;
 //! * [`NodeEngine::evacuate`] — drain the queue without recording
 //!   outcomes, so a dying node's waiters can be re-routed;
+//! * [`NodeEngine::with_sessions`] — attach a decode cache, sized by the
+//!   operator's hasher (the one way to attach one, for the lone server and
+//!   for every fleet node);
 //! * [`NodeEngine::clear_session_cache`] — model the loss of a dead
 //!   node's decode cache (its sessions rebuild from scratch elsewhere);
 //! * [`NodeEngine::with_service_scale`] — a uniform slow-node factor
@@ -59,7 +62,7 @@ use crate::clock::{ns_to_secs, VirtualClock};
 use crate::dispatch::{OnlineRecord, Outcome, ServeConfig};
 use crate::error::RuntimeError;
 use crate::queue::{AdmissionQueue, Backpressure, QueuedRequest};
-use crate::session::{CacheStats, SessionRegistry, SessionTurnRequest};
+use crate::session::{CacheConfig, CacheStats, SessionRegistry, SessionTurnRequest};
 
 /// One request's thread-independent precompute: the materialized inputs,
 /// the measured service seconds (full and cache-hit variants), and the
@@ -150,8 +153,8 @@ fn turn_rows(turn: &SessionTurnRequest) -> Result<Range<usize>, FitError> {
 /// run by [`ElsaAccelerator::try_run`]), bit for bit, and results come back
 /// in turn order, so they are identical at any `ELSA_THREADS`. A plain
 /// request is a single-turn session
-/// ([`SessionTrace::single_turn`](crate::SessionTrace::single_turn)), so
-/// this is the precompute of every serving path.
+/// ([`SessionTrace::poisson`](crate::SessionTrace::poisson)), so this is the
+/// precompute of every serving path.
 ///
 /// # Errors
 ///
@@ -298,7 +301,7 @@ pub fn unit_health(plan: &FaultPlan, units: usize, quarantine_after: u32) -> Hea
 /// cache registry plus hit/cold/stale classification against the trace's
 /// turns.
 #[derive(Debug)]
-pub struct SessionBook<'a> {
+struct SessionBook<'a> {
     registry: SessionRegistry,
     /// The trace's turns, indexed by request id.
     meta: &'a [SessionTurnRequest],
@@ -308,15 +311,7 @@ pub struct SessionBook<'a> {
     rebuilt_tokens: u64,
 }
 
-impl<'a> SessionBook<'a> {
-    /// A fresh book over `meta` (the full trace's turns, indexed by
-    /// request id — an engine serving a subset still indexes into the
-    /// shared slice).
-    #[must_use]
-    pub const fn new(registry: SessionRegistry, meta: &'a [SessionTurnRequest]) -> Self {
-        Self { registry, meta, hits: 0, cold: 0, stale: 0, rebuilt_tokens: 0 }
-    }
-
+impl SessionBook<'_> {
     /// Whether the turn's session holds exactly the prefix the turn expects
     /// (read-only; the registry is committed only when the turn is served).
     fn is_hit(&self, m: &SessionTurnRequest) -> bool {
@@ -348,7 +343,8 @@ pub struct NodeParts {
     pub slots: Vec<Option<OnlineRecord>>,
     /// Dispatch accounting per length bucket.
     pub bucket_stats: Vec<BucketStats>,
-    /// Decode-cache behavior, when the engine carried a [`SessionBook`].
+    /// Decode-cache behavior, when the engine carried a decode cache
+    /// ([`NodeEngine::with_sessions`]).
     pub cache: Option<CacheStats>,
     /// Unit health at the end of the run.
     pub health: HealthSnapshot,
@@ -409,10 +405,22 @@ impl<'a> NodeEngine<'a> {
         }
     }
 
-    /// Attaches session bookkeeping (the decode cache model).
+    /// Attaches the decode cache model: a [`SessionRegistry`] sized by the
+    /// operator's hasher under `cache`, classifying each served turn against
+    /// `turns` (the whole trace's turns, indexed by request id — an engine
+    /// serving a routed subset still indexes into the shared slice).
     #[must_use]
-    pub fn with_sessions(mut self, book: SessionBook<'a>) -> Self {
-        self.sessions = Some(book);
+    pub fn with_sessions(mut self, cache: CacheConfig, turns: &'a [SessionTurnRequest]) -> Self {
+        let hasher = self.accel.operator().params().hasher();
+        let registry = SessionRegistry::new(cache, hasher.dim(), hasher.k());
+        self.sessions = Some(SessionBook {
+            registry,
+            meta: turns,
+            hits: 0,
+            cold: 0,
+            stale: 0,
+            rebuilt_tokens: 0,
+        });
         self
     }
 

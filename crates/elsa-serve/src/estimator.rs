@@ -49,19 +49,11 @@ impl ServiceEstimator {
 
     /// Estimated total cycles for an `n`-entity invocation (`n` queries
     /// over `n` keys): preprocessing + `n` pipelined queries at the
-    /// closed-form initiation interval + the final division drain.
+    /// closed-form initiation interval + the final division drain — a decode
+    /// step that appends the whole context to an empty cache.
     #[must_use]
     pub fn invocation_cycles(&self, n: usize) -> u64 {
-        if n == 0 {
-            return 0;
-        }
-        let per_bank = vec![self.candidates_per_bank(n); self.config.p_a];
-        let ii = closed_form_query_cycles(&self.config, n, &per_bank);
-        let queries = u64::try_from(n).unwrap_or(u64::MAX);
-        self.config
-            .preprocessing_cycles(n)
-            .saturating_add(queries.saturating_mul(ii))
-            .saturating_add(self.config.division_cycles())
+        self.decode_step_cycles(n, n, false)
     }
 
     /// Estimated service seconds for an `n`-entity invocation.
@@ -78,8 +70,8 @@ impl ServiceEstimator {
     /// appended tokens — the `O(k)` per-step hash work of
     /// `elsa_core::session::StreamingSession::append`. With `cached = false`
     /// (first turn, or evicted state) the whole `n`-token context is
-    /// re-preprocessed from scratch. `decode_step_cycles(n, n, false)` is
-    /// exactly [`invocation_cycles`](Self::invocation_cycles)`(n)`.
+    /// re-preprocessed from scratch. [`invocation_cycles`](Self::invocation_cycles)`(n)`
+    /// is `decode_step_cycles(n, n, false)`.
     #[must_use]
     pub fn decode_step_cycles(&self, n: usize, appended: usize, cached: bool) -> u64 {
         if n == 0 || appended == 0 {

@@ -10,8 +10,10 @@
 //!   reads anywhere, so every run replays bit-for-bit on any host at any
 //!   `ELSA_THREADS`.
 //! * [`arrival`] — seeded open-loop Poisson arrival traces over the
-//!   evaluation workloads, with optional burst phases. Shapes and timings
-//!   are independent PRNG streams, so one seed sweeps cleanly across λ.
+//!   evaluation workloads ([`SessionTrace::poisson`]), with optional burst
+//!   phases, and recorded batches arriving at t = 0
+//!   ([`SessionTrace::simultaneous`]). Shapes and timings are independent
+//!   PRNG streams, so one seed sweeps cleanly across λ.
 //! * [`queue`] — a bounded, length-bucketed admission queue with three
 //!   backpressure policies (block, tail drop, head drop).
 //! * [`batcher`] — length-bucketed dynamic batching. ELSA pays real
@@ -33,12 +35,13 @@
 //!   retries, stragglers, quarantine, degradation to exact attention),
 //!   emitting one [`OnlineRecord`] per arrival and a [`ServeReport`] with
 //!   completion and queue-delay percentiles, SLO attainment, shed/timeout
-//!   accounting, and per-bucket occupancy.
+//!   accounting, per-bucket occupancy, and the decode cache's statistics
+//!   when one was attached.
 //! * [`error`] — [`RuntimeError`], the typed error every serving entry
 //!   point returns instead of panicking on a caller's mistake.
-//! * [`session`] — multi-turn decode serving: replayable [`SessionTrace`]s
-//!   (each arrival is the next turn of a live session, with session
-//!   affinity in the batcher), plus the bounded decode cache — a
+//! * [`session`] — the one trace type, replayable [`SessionTrace`]s (each
+//!   arrival is the next turn of a live session, with session affinity in
+//!   the batcher), plus the bounded decode cache — a
 //!   [`SessionRegistry`] accounting every session's incremental KV/hash
 //!   state against a capacity budget with deterministic LRU or SLO-aware
 //!   eviction. A cache hit is charged only the appended tokens'
@@ -46,13 +49,13 @@
 //!   on its next turn.
 //!
 //! Plain serving is the single-turn case of session serving, not a second
-//! path: each request of an [`ArrivalTrace`] is one whole self-attention
-//! invocation, served as a session whose only turn appends every token
-//! ([`SessionTrace::single_turn`]), so [`prepare_turns`] is the only
-//! precompute. Batch serving is in turn the degenerate configuration of
-//! plain serving, not a second engine: [`ServeConfig::immediate`]
-//! (unbounded queue, batch size 1, no wait) on an
-//! [`ArrivalTrace::simultaneous`] trace dispatches every request at t = 0,
+//! path: each request of a [`SessionTrace::poisson`] trace is one whole
+//! self-attention invocation, served as a session whose only turn appends
+//! every token, so [`prepare_turns`] is the only precompute and
+//! [`ServeReport`] the only single-node report. Batch serving is in turn the
+//! degenerate configuration of plain serving, not a second engine:
+//! [`ServeConfig::immediate`] (unbounded queue, batch size 1, no wait) on a
+//! [`SessionTrace::simultaneous`] trace dispatches every request at t = 0,
 //! first-come first-served onto the unit that frees first. The facade's
 //! `tests/fault_tolerance.rs` pins that case bitwise against an
 //! independent FIFO fold.
@@ -71,13 +74,12 @@ pub mod queue;
 pub mod session;
 pub mod skew;
 
-pub use arrival::{ArrivalConfig, ArrivalRequest, ArrivalTrace, Burst};
+pub use arrival::{ArrivalConfig, Burst};
 pub use batcher::{BatchPolicy, BatcherMode, BucketStats};
 pub use clock::VirtualClock;
-pub use dispatch::{OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport, SessionReport};
+pub use dispatch::{OnlineRecord, OnlineServer, Outcome, ServeConfig, ServeReport};
 pub use engine::{
     prepare_turns, session_admissions, unit_health, NodeEngine, NodeParts, PreparedRequest,
-    SessionBook,
 };
 pub use error::RuntimeError;
 pub use estimator::ServiceEstimator;

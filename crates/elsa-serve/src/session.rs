@@ -1,12 +1,14 @@
 //! Multi-turn session traces and the decode KV/hash cache model.
 //!
-//! A [`SessionTrace`] is the decode analogue of an
-//! [`ArrivalTrace`](crate::arrival::ArrivalTrace): every arrival is the
-//! *next turn* of a live session (a prompt prefill or a single-token decode
-//! step), generated by interleaving the turn schedules of
-//! [`elsa_workloads::sessions`] specs under Poisson arrivals with seeded
-//! random session picks. Three independent PRNG streams (shapes, times,
-//! picks) are forked from one seed, so a trace replays bit-for-bit.
+//! A [`SessionTrace`] is the one trace type of the serving stack: every
+//! arrival is the *next turn* of a live session (a prompt prefill or a
+//! single-token decode step). [`SessionTrace::generate`] interleaves the turn
+//! schedules of [`elsa_workloads::sessions`] specs under Poisson arrivals
+//! with seeded random session picks; three independent PRNG streams (shapes,
+//! times, picks) are forked from one seed, so a trace replays bit-for-bit.
+//! A plain request is the single-turn case: [`SessionTrace::poisson`] and
+//! [`SessionTrace::simultaneous`] ([`arrival`](crate::arrival)) emit each
+//! request as its own session whose only turn is the whole invocation.
 //!
 //! The cache model: a [`SessionRegistry`] accounts the resident bytes of
 //! every live session's incremental state (KV rows + SRP signatures +
@@ -25,7 +27,6 @@ use elsa_workloads::sessions::{record_sessions, SessionSpec, SessionTurn};
 use elsa_workloads::trace::TraceEntry;
 use elsa_workloads::Workload;
 
-use crate::arrival::ArrivalTrace;
 use crate::clock::secs_to_ns;
 use elsa_linalg::SeededRng;
 
@@ -93,7 +94,7 @@ impl SessionTrace {
         config: &SessionArrivalConfig,
         rng: &mut SeededRng,
     ) -> Self {
-        // Independent streams, same convention as `ArrivalTrace::generate`:
+        // Independent streams, same convention as `SessionTrace::poisson`:
         // shapes must not shift when λ or the pick sequence changes.
         let mut shape_rng = rng.fork(0x5EAE_0001);
         let mut time_rng = rng.fork(0x5EAE_0002);
@@ -166,32 +167,6 @@ impl SessionTrace {
                 entry: specs[s].entry,
             });
         }
-        Self { requests }
-    }
-
-    /// Wraps an ordinary arrival trace as single-turn sessions: each
-    /// request becomes its own session whose only turn is the whole
-    /// invocation (`appended == prefix_len == n_real`). Ids, arrival
-    /// instants, deadlines, and entries are preserved verbatim — the
-    /// degenerate stream on which session serving must reproduce
-    /// [`OnlineServer::serve`](crate::dispatch::OnlineServer::serve)
-    /// bit-for-bit.
-    #[must_use]
-    pub fn single_turn(trace: &ArrivalTrace) -> Self {
-        let requests = trace
-            .requests
-            .iter()
-            .map(|r| SessionTurnRequest {
-                id: r.id,
-                arrival_ns: r.arrival_ns,
-                deadline_ns: r.deadline_ns,
-                session: r.id as u64,
-                prefix_len: r.entry.pattern.n_real,
-                appended: r.entry.pattern.n_real,
-                last_turn: true,
-                entry: r.entry,
-            })
-            .collect();
         Self { requests }
     }
 
@@ -458,7 +433,7 @@ impl CacheStats {
 mod tests {
     use super::*;
     use crate::arrival::ArrivalConfig;
-    use elsa_workloads::{DatasetKind, ModelKind};
+    use elsa_workloads::{DatasetKind, ModelKind, WorkloadTrace};
 
     fn workload() -> Workload {
         Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M }
@@ -505,17 +480,20 @@ mod tests {
     }
 
     #[test]
-    fn single_turn_preserves_the_arrival_trace() {
+    fn plain_request_turns_are_whole_invocations() {
         let cfg = ArrivalConfig { slo_ns: Some(1_000_000), ..ArrivalConfig::poisson(1000.0, 12) };
-        let arrivals = ArrivalTrace::generate(&workload(), &cfg, &mut SeededRng::new(3));
-        let sessions = SessionTrace::single_turn(&arrivals);
-        assert_eq!(sessions.len(), arrivals.len());
-        for (s, a) in sessions.requests.iter().zip(&arrivals.requests) {
-            assert_eq!((s.id, s.arrival_ns, s.deadline_ns), (a.id, a.arrival_ns, a.deadline_ns));
-            assert_eq!(s.entry, a.entry);
-            assert_eq!(s.prefix_len, a.entry.pattern.n_real);
-            assert_eq!(s.appended, s.prefix_len);
-            assert!(s.last_turn);
+        let poisson = SessionTrace::poisson(&workload(), &cfg, &mut SeededRng::new(3));
+        let recorded = WorkloadTrace::record(&workload(), 12, &mut SeededRng::new(3));
+        let simultaneous = SessionTrace::simultaneous(&recorded);
+        for (trace, slo_ns) in [(&poisson, cfg.slo_ns), (&simultaneous, None)] {
+            assert_eq!(trace.len(), 12);
+            for (i, s) in trace.requests.iter().enumerate() {
+                assert_eq!((s.id, s.session), (i, i as u64), "a session of its own");
+                assert_eq!(s.prefix_len, s.entry.pattern.n_real);
+                assert_eq!(s.appended, s.prefix_len);
+                assert!(s.last_turn);
+                assert_eq!(s.deadline_ns, slo_ns.map(|slo| s.arrival_ns + slo));
+            }
         }
     }
 

@@ -9,7 +9,6 @@ use crate::config::AcceleratorConfig;
 use crate::cost::EnergyBreakdown;
 use crate::cycle::{self, CycleReport};
 use crate::fit::FitError;
-use crate::functional::QuantizedElsaAttention;
 
 /// Everything one self-attention invocation produced on the accelerator.
 #[derive(Debug, Clone)]
@@ -187,19 +186,6 @@ impl ElsaAccelerator {
         self.report(inputs, output, stats, &candidates)
     }
 
-    /// Runs one invocation through the bit-level quantized datapath
-    /// (§IV-E number formats) — slower, used for accuracy validation.
-    #[must_use]
-    pub fn run_quantized(&self, inputs: &AttentionInputs) -> RunReport {
-        self.check_fit(inputs);
-        let quant = QuantizedElsaAttention::from_reference(&self.operator);
-        let (output, stats) = quant.forward(inputs);
-        // Cycle counts use the f32 candidate sets; quantization moves the
-        // counts by well under a percent (tested in `functional`).
-        let (candidates, _) = self.operator.candidates(inputs);
-        self.report(inputs, output, stats, &candidates)
-    }
-
     fn check_fit(&self, inputs: &AttentionInputs) {
         if let Err(e) = self.try_check_fit(inputs) {
             panic!("{e}");
@@ -302,17 +288,6 @@ mod tests {
         let exact = elsa_attention::exact::attention(&test);
         let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&base.output), bits(&exact));
-    }
-
-    #[test]
-    fn quantized_run_tracks_f32_run() {
-        let train = peaked_inputs(64, 64, 7);
-        let test = peaked_inputs(64, 64, 8);
-        let accel = accelerator(&train, 1.0, 9);
-        let f32_run = accel.run(&test);
-        let quant_run = accel.run_quantized(&test);
-        let rel = f32_run.output.relative_frobenius_error(&quant_run.output);
-        assert!(rel < 0.3, "relative error {rel}");
     }
 
     #[test]

@@ -242,14 +242,17 @@ mod tests {
     fn quantized_output_tracks_reference_output_with_learned_threshold() {
         // With a learned threshold, marginal keys can flip selection between
         // the f32 and quantized paths; the end output must still track.
-        let train = peaked_inputs(64, 64, 1);
-        let test = peaked_inputs(64, 64, 2);
-        let r = reference(3, &train, 1.0);
-        let quant = QuantizedElsaAttention::from_reference(&r);
-        let (ref_out, _) = r.forward(&test);
-        let (q_out, _) = quant.forward(&test);
-        let rel = ref_out.relative_frobenius_error(&q_out);
-        assert!(rel < 0.45, "quantization-path relative error {rel}");
+        // Each case: train and test input seeds, operator seed, bound.
+        for (train_seed, test_seed, seed, bound) in [(1, 2, 3, 0.45), (7, 8, 9, 0.3)] {
+            let train = peaked_inputs(64, 64, train_seed);
+            let test = peaked_inputs(64, 64, test_seed);
+            let r = reference(seed, &train, 1.0);
+            let quant = QuantizedElsaAttention::from_reference(&r);
+            let (ref_out, _) = r.forward(&test);
+            let (q_out, _) = quant.forward(&test);
+            let rel = ref_out.relative_frobenius_error(&q_out);
+            assert!(rel < bound, "quantization-path relative error {rel} (seed {seed})");
+        }
     }
 
     #[test]

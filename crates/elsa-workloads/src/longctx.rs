@@ -180,12 +180,6 @@ impl LengthMix {
         sum_f64(self.components.iter().map(|&(n, w)| n as f64 * w)) / self.total_weight()
     }
 
-    /// The longest component length.
-    #[must_use]
-    pub fn max_length(&self) -> usize {
-        self.components.iter().map(|&(n, _)| n).max().unwrap_or(0)
-    }
-
     /// Samples one length: a single uniform draw walked over the components
     /// in construction order.
     #[must_use]
@@ -265,7 +259,6 @@ mod tests {
     #[test]
     fn mix_statistics() {
         let mix = LengthMix::long_tail();
-        assert_eq!(mix.max_length(), 65536);
         let expected = (8192.0 * 0.5 + 16384.0 * 0.3 + 65536.0 * 0.2) / 1.0;
         assert!((mix.expected_length() - expected).abs() < 1e-6);
     }

@@ -170,29 +170,6 @@ pub fn evaluate_workload(
 /// The p-grid the sweep experiments use (Fig. 10's x-axis).
 pub const P_GRID: [f64; 6] = [0.5, 1.0, 2.0, 4.0, 6.0, 8.0];
 
-/// Finds the most aggressive `p` on [`P_GRID`] whose accuracy loss stays
-/// within `max_loss_percent`, re-learning the threshold for each candidate
-/// `p` — the paper's procedure for defining the conservative / moderate /
-/// aggressive operating points (§V-C). Returns the evaluation at the chosen
-/// `p` (falling back to the smallest grid point if nothing qualifies).
-#[must_use]
-pub fn find_p_for_loss(
-    workload: &Workload,
-    max_loss_percent: f64,
-    train: &[AttentionInputs],
-    test: &[AttentionInputs],
-    seed: u64,
-) -> AccuracyEvaluation {
-    let mut best: Option<AccuracyEvaluation> = None;
-    for &p in &P_GRID {
-        let eval = evaluate_workload(workload, p, train, test, seed);
-        if eval.loss_percent() <= max_loss_percent {
-            best = Some(eval);
-        }
-    }
-    best.unwrap_or_else(|| evaluate_workload(workload, P_GRID[0], train, test, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,18 +224,5 @@ mod tests {
         );
         // Conservative approximation keeps the proxy metric high.
         assert!(conservative.metric > 0.9, "metric {}", conservative.metric);
-    }
-
-    #[test]
-    fn find_p_respects_loss_budget() {
-        let w = Workload { model: ModelKind::BertLarge, dataset: DatasetKind::SquadV11 };
-        let cfg = w.pattern_config(128);
-        let mut rng = SeededRng::new(4);
-        let train = cfg.generate_batch(2, &mut rng);
-        let test = cfg.generate_batch(2, &mut rng);
-        let eval = find_p_for_loss(&w, 1.0, &train, &test, 5);
-        // Either the loss is within budget, or we fell back to the most
-        // conservative grid point.
-        assert!(eval.loss_percent() <= 1.0 + 1e-9 || eval.p == P_GRID[0]);
     }
 }

@@ -9,7 +9,7 @@ use elsa::algorithm::attention::{ElsaAttention, ElsaParams};
 use elsa::fault::FaultPlan;
 use elsa::linalg::reduce::sum_f64;
 use elsa::linalg::SeededRng;
-use elsa::serve::{ArrivalTrace, OnlineServer, ServeConfig};
+use elsa::serve::{OnlineServer, ServeConfig, SessionTrace};
 use elsa::sim::AcceleratorConfig;
 use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
@@ -20,7 +20,7 @@ fn main() {
     let train = workload.generate_batch(2, &mut rng);
     // The whole burst arrives at t = 0; immediate dispatch serves it
     // first-come first-served onto whichever accelerator frees first.
-    let requests = ArrivalTrace::simultaneous(&WorkloadTrace::record(&workload, 96, &mut rng));
+    let requests = SessionTrace::simultaneous(&WorkloadTrace::record(&workload, 96, &mut rng));
 
     let operator =
         ElsaAttention::learn(ElsaParams::for_dims(64, 64, &mut SeededRng::new(89)), &train, 1.0);

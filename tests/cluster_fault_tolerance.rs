@@ -41,8 +41,8 @@ use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
 use elsa::serve::clock::secs_to_ns;
 use elsa::serve::{
-    ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, CacheConfig, OnlineServer, Outcome,
-    ServeConfig, ServeReport, SessionArrivalConfig, SessionTrace,
+    ArrivalConfig, Backpressure, BatchPolicy, CacheConfig, OnlineServer, Outcome, ServeConfig,
+    ServeReport, SessionArrivalConfig, SessionTrace,
 };
 use elsa::sim::AcceleratorConfig;
 use elsa::workloads::{DatasetKind, FleetMix, LongCtxKind, ModelKind, Workload};
@@ -204,26 +204,25 @@ fn assert_exact_accounting(report: &ClusterReport, offered: usize, label: &str) 
 #[test]
 fn one_node_zero_fault_cluster_matches_the_single_node_server_bitwise() {
     // The long-context entries run fewer query rows than they have keys.
-    let mut traces = vec![ArrivalTrace::generate(
+    let mut traces = vec![SessionTrace::poisson(
         &workload(),
         &ArrivalConfig { slo_ns: Some(500_000), ..ArrivalConfig::poisson(150_000.0, 36) },
         &mut SeededRng::new(0xC1A0),
     )];
     for kind in LongCtxKind::all() {
         let recorded = kind.record_trace(192, 3, &mut SeededRng::new(0xC1A1));
-        traces.push(ArrivalTrace::simultaneous(&recorded));
+        traces.push(SessionTrace::simultaneous(&recorded));
     }
     let server = OnlineServer::new(config(), operator().clone(), FaultPlan::none(), serve_config());
-    for arrivals in &traces {
-        let plain = server.serve(arrivals).expect("healthy pool");
-        let sessions = SessionTrace::single_turn(arrivals);
-        let offered = arrivals.len();
+    for trace in &traces {
+        let plain = server.serve(trace).expect("healthy pool");
+        let offered = trace.len();
         for policy in POLICIES {
             let cluster = Cluster::new(
                 ClusterConfig { policy, ..ClusterConfig::baseline(1, config(), serve_config()) },
                 operator().clone(),
             );
-            let report = cluster.serve(&sessions).expect("healthy fleet");
+            let report = cluster.serve(trace).expect("healthy fleet");
             let projected = report.to_serve_report();
             assert_eq!(report_bits(&plain), report_bits(&projected), "{policy:?}");
             assert_eq!(plain, projected, "{policy:?}: diverged beyond the bit projection");

@@ -1,7 +1,7 @@
 //! Chaos battery for the fault-injection layer and the serving engine.
 //!
 //! Batch serving is `OnlineServer` under `ServeConfig::immediate()` on an
-//! all-at-t=0 `ArrivalTrace::simultaneous` trace. Four promises are under
+//! all-at-t=0 `SessionTrace::simultaneous` trace. Four promises are under
 //! test, per the fault-tolerance design:
 //!
 //! * **(a) Zero faults are free** — with a zero-fault [`FaultPlan`], the
@@ -31,7 +31,7 @@ use elsa::attention::exact::AttentionInputs;
 use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
-use elsa::serve::{ArrivalTrace, OnlineServer, RuntimeError, ServeConfig, ServeReport};
+use elsa::serve::{OnlineServer, RuntimeError, ServeConfig, ServeReport, SessionTrace};
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
 use elsa::workloads::{DatasetKind, ModelKind, Workload};
@@ -58,17 +58,17 @@ fn operator() -> &'static ElsaAttention {
 
 /// A recorded batch: the all-at-t=0 trace the server replays, and the
 /// materialized inputs the oracles run directly.
-fn batch(count: usize, seed: u64) -> (ArrivalTrace, Vec<AttentionInputs>) {
+fn batch(count: usize, seed: u64) -> (SessionTrace, Vec<AttentionInputs>) {
     let workload = Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M };
     let recorded = WorkloadTrace::record(&workload, count, &mut SeededRng::new(seed));
-    (ArrivalTrace::simultaneous(&recorded), recorded.materialize())
+    (SessionTrace::simultaneous(&recorded), recorded.materialize())
 }
 
 /// Batch serving on `units` accelerators under `plan`, at `workers` threads.
 fn serve(
     units: usize,
     plan: FaultPlan,
-    trace: &ArrivalTrace,
+    trace: &SessionTrace,
     workers: usize,
 ) -> Result<ServeReport, RuntimeError> {
     let server =

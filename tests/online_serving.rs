@@ -21,9 +21,10 @@
 //!   bounded decode cache in play, the exact-accounting identity
 //!   (`offered = served + shed + timed-out + failed`, and
 //!   `hits + cold + stale = served`) still holds and the whole
-//!   [`SessionReport`] is bit-identical across worker counts; the
-//!   degenerate configuration (capacity = ∞, single-turn traces) stays
-//!   bit-identical to today's [`OnlineServer::serve`].
+//!   [`ServeReport`], cache statistics included, is bit-identical across
+//!   worker counts; the degenerate configuration (capacity = ∞,
+//!   single-turn traces) serves the same records and bucket accounting as
+//!   [`OnlineServer::serve`], which runs no cache.
 //!
 //! Reproduce any failure with the reported seed:
 //! `ELSA_TESTKIT_SEED=0x... cargo test --test online_serving`.
@@ -38,9 +39,8 @@ use elsa::fault::{FaultPlan, FaultRates};
 use elsa::linalg::SeededRng;
 use elsa::parallel::with_threads;
 use elsa::serve::{
-    ArrivalConfig, ArrivalTrace, Backpressure, BatchPolicy, BatcherMode, CacheConfig,
-    EvictionPolicy, OnlineServer, Outcome, ServeConfig, ServeReport, SessionArrivalConfig,
-    SessionTrace,
+    ArrivalConfig, Backpressure, BatchPolicy, BatcherMode, CacheConfig, EvictionPolicy,
+    OnlineServer, Outcome, ServeConfig, ServeReport, SessionArrivalConfig, SessionTrace,
 };
 use elsa::sim::{AcceleratorConfig, ElsaAccelerator};
 use elsa::workloads::trace::WorkloadTrace;
@@ -89,7 +89,7 @@ fn report_bits(report: &ServeReport) -> Vec<(usize, u64, u64, u64, u32, String)>
 
 #[test]
 fn serve_report_is_bit_identical_across_worker_counts() {
-    let trace = ArrivalTrace::generate(
+    let trace = SessionTrace::poisson(
         &workload(),
         &ArrivalConfig { slo_ns: Some(500_000), ..ArrivalConfig::poisson(120_000.0, 40) },
         &mut SeededRng::new(0xA11CE),
@@ -113,7 +113,7 @@ fn serve_report_is_bit_identical_across_worker_counts() {
 
 #[test]
 fn chaotic_fault_plan_stays_deterministic_across_worker_counts() {
-    let trace = ArrivalTrace::generate(
+    let trace = SessionTrace::poisson(
         &workload(),
         &ArrivalConfig::poisson(150_000.0, 32),
         &mut SeededRng::new(0xB0B),
@@ -156,7 +156,7 @@ fn degenerate_online_pipeline_matches_offline_server_bit_for_bit() {
         ServeConfig::immediate(),
     );
     let online =
-        online_server.serve(&ArrivalTrace::simultaneous(&recorded)).expect("healthy pool");
+        online_server.serve(&SessionTrace::simultaneous(&recorded)).expect("healthy pool");
     assert_eq!(record_bits(&online.records), record_bits(&offline));
 }
 
@@ -182,7 +182,7 @@ fn overload_accounting_is_exact_and_slo_degrades_monotonically_in_lambda() {
         OnlineServer::new(config(), operator().clone(), FaultPlan::none(), serve_config);
     let mut attainments = Vec::new();
     for lambda in lambdas {
-        let trace = ArrivalTrace::generate(
+        let trace = SessionTrace::poisson(
             &workload(),
             &ArrivalConfig { slo_ns: Some(12_000), ..ArrivalConfig::poisson(lambda, 80) },
             &mut SeededRng::new(0x10AD),
@@ -233,7 +233,7 @@ fn overload_accounting_is_exact_and_slo_degrades_monotonically_in_lambda() {
 fn bucketed_batching_sustains_at_least_padded_throughput() {
     // High λ and a wide-open batch window force full batches of mixed
     // lengths — the worst case for pad-to-max.
-    let trace = ArrivalTrace::generate(
+    let trace = SessionTrace::poisson(
         &workload(),
         &ArrivalConfig::poisson(1_000_000.0, 48),
         &mut SeededRng::new(0xFAD),
@@ -304,7 +304,7 @@ fn multi_turn_accounting_is_exact_under_eviction_and_replays_across_threads() {
         let baseline =
             with_threads(1, || server.serve_sessions(&trace, cache).expect("healthy pool"));
         // Accounting identity over the turn outcomes...
-        let serve = &baseline.serve;
+        let serve = &baseline;
         assert_eq!(
             serve.served_count()
                 + serve.shed_count()
@@ -315,7 +315,7 @@ fn multi_turn_accounting_is_exact_under_eviction_and_replays_across_threads() {
         );
         assert_eq!(serve.offered_count(), trace.len());
         // ...and over the cache classification of the served turns.
-        let cache_stats = baseline.cache;
+        let cache_stats = baseline.cache.expect("served with a cache");
         assert_eq!(
             cache_stats.hits + cache_stats.cold + cache_stats.stale,
             serve.served_count() as u64,
@@ -333,7 +333,7 @@ fn multi_turn_accounting_is_exact_under_eviction_and_replays_across_threads() {
         for workers in WORKER_COUNTS {
             let report =
                 with_threads(workers, || server.serve_sessions(&trace, cache).expect("healthy"));
-            assert_eq!(report_bits(&baseline.serve), report_bits(&report.serve));
+            assert_eq!(report_bits(&baseline), report_bits(&report));
             assert_eq!(baseline, report, "{workers} workers diverged ({policy:?})");
         }
     }
@@ -343,16 +343,17 @@ fn multi_turn_accounting_is_exact_under_eviction_and_replays_across_threads() {
 fn degenerate_session_serving_matches_plain_online_server_bitwise() {
     // Single-turn sessions + an unbounded cache must collapse onto the
     // plain pipeline: same records, same bucket stats, bit for bit — the
-    // session layer is a pure extension, not a reinterpretation. The
+    // session layer is a pure extension, not a reinterpretation. Only the
+    // cache statistics differ, by design: `serve` runs no cache. The
     // long-context entries run fewer query rows than they have keys.
-    let mut traces = vec![ArrivalTrace::generate(
+    let mut traces = vec![SessionTrace::poisson(
         &workload(),
         &ArrivalConfig { slo_ns: Some(500_000), ..ArrivalConfig::poisson(150_000.0, 36) },
         &mut SeededRng::new(0x5E56),
     )];
     for kind in LongCtxKind::all() {
         let recorded = kind.record_trace(192, 3, &mut SeededRng::new(0x5E57));
-        traces.push(ArrivalTrace::simultaneous(&recorded));
+        traces.push(SessionTrace::simultaneous(&recorded));
     }
     let server = OnlineServer::new(
         config(),
@@ -366,24 +367,24 @@ fn degenerate_session_serving_matches_plain_online_server_bitwise() {
             ..ServeConfig::default()
         },
     );
-    for arrivals in &traces {
-        let sessions = SessionTrace::single_turn(arrivals);
+    for trace in &traces {
         for workers in WORKER_COUNTS {
             let (plain, session) = with_threads(workers, || {
                 (
-                    server.serve(arrivals).expect("healthy pool"),
-                    server
-                        .serve_sessions(&sessions, CacheConfig::unbounded())
-                        .expect("healthy pool"),
+                    server.serve(trace).expect("healthy pool"),
+                    server.serve_sessions(trace, CacheConfig::unbounded()).expect("healthy pool"),
                 )
             });
-            assert_eq!(report_bits(&plain), report_bits(&session.serve), "threads={workers}");
-            assert_eq!(plain, session.serve, "threads={workers}");
+            assert_eq!(report_bits(&plain), report_bits(&session), "threads={workers}");
+            assert_eq!(plain.records, session.records, "threads={workers}");
+            assert_eq!(plain.bucket_stats, session.bucket_stats, "threads={workers}");
+            assert_eq!(plain.cache, None, "threads={workers}");
             // One-turn sessions can never hit or go stale, and nothing evicts.
-            assert_eq!(session.cache.hits, 0);
-            assert_eq!(session.cache.stale, 0);
-            assert_eq!(session.cache.evictions, 0);
-            assert_eq!(session.cache.cold, plain.served_count() as u64);
+            let cache = session.cache.expect("served with a cache");
+            assert_eq!(cache.hits, 0);
+            assert_eq!(cache.stale, 0);
+            assert_eq!(cache.evictions, 0);
+            assert_eq!(cache.cold, plain.served_count() as u64);
         }
     }
 }

@@ -133,6 +133,7 @@ props! {
         let report = ServeReport {
             records: times.iter().enumerate().map(served).collect(),
             bucket_stats: Vec::new(),
+            cache: None,
         };
         let p = report.completion_percentile_s(q);
         let min = times.iter().copied().fold(f64::INFINITY, f64::min);
