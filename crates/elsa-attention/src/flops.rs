@@ -7,10 +7,7 @@
 //! are driven by these counts.
 //!
 //! Conventions: one multiply-accumulate = 2 FLOPs; one exponential/special
-//! function = 1 op (a single SFU instruction on GPU). [`ApproxAttentionOps`]
-//! and [`exact_attention_ops`] keep the paper's §III-D unit instead, one op
-//! per multiply-accumulate: compare them with each other, not with the
-//! FLOP counts.
+//! function = 1 op (a single SFU instruction on GPU).
 
 use crate::transformer::TransformerConfig;
 
@@ -115,23 +112,24 @@ impl LayerFlops {
     }
 }
 
-/// MAC count of the ELSA *approximate* attention pipeline for one
+/// Operation count of the ELSA *approximate* attention pipeline for one
 /// `n × d` attention head with hash length `k` (3-way Kronecker hashing) and
 /// `c̄` average selected candidates per query — the paper's §III-D cost
-/// accounting, used to show the algorithmic reduction. Unit: one op per
-/// multiply-accumulate, as in [`exact_attention_ops`]; the FLOP counts of
-/// this module charge two.
+/// accounting, used to show the algorithmic reduction against
+/// [`rect_attention_ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApproxAttentionOps {
-    /// Preprocessing: key hashes (`3·n·d^{4/3}`) + key norms (`n·d`).
-    pub preprocessing_macs: u64,
-    /// Query hashing: `3·n·d^{4/3}`.
-    pub query_hash_macs: u64,
+    /// Preprocessing: key hashes (`3·n·d^{4/3}` MACs) + key norms (`n·d`
+    /// MACs), `2·(3·n·d^{4/3} + n·d)` FLOPs.
+    pub preprocessing_flops: u64,
+    /// Query hashing: `3·n·d^{4/3}` MACs, `6·n·d^{4/3}` FLOPs.
+    pub query_hash_flops: u64,
     /// Per-pair approximate similarity: Hamming (XOR+popcount, counted as 1
     /// op per pair) + LUT + 1 multiply.
     pub similarity_ops: u64,
-    /// Exact attention restricted to candidates: `2·c̄·n·d` MACs.
-    pub selected_attention_macs: u64,
+    /// Exact attention restricted to candidates: `2·c̄·n·d` MACs,
+    /// `4·c̄·n·d` FLOPs.
+    pub selected_attention_flops: u64,
 }
 
 impl ApproxAttentionOps {
@@ -155,37 +153,26 @@ impl ApproxAttentionOps {
         let hash = u128::from(rounded_u64(3.0 * (d as f64).powf(4.0 / 3.0).round()));
         let c = avg_candidates.max(0.0);
         Self {
-            preprocessing_macs: saturating_u64(n128 * hash + n128 * d128),
-            query_hash_macs: saturating_u64(nq * hash),
+            preprocessing_flops: saturating_u64(2 * (n128 * hash + n128 * d128)),
+            query_hash_flops: saturating_u64(2 * nq * hash),
             similarity_ops: saturating_u64(2 * nq * n128),
-            selected_attention_macs: rounded_u64(2.0 * c * n_queries as f64 * d as f64),
+            selected_attention_flops: rounded_u64(4.0 * c * n_queries as f64 * d as f64),
         }
     }
 
     /// Total operation count.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.preprocessing_macs
-            .saturating_add(self.query_hash_macs)
+        self.preprocessing_flops
+            .saturating_add(self.query_hash_flops)
             .saturating_add(self.similarity_ops)
-            .saturating_add(self.selected_attention_macs)
+            .saturating_add(self.selected_attention_flops)
     }
-}
-
-/// Exact self-attention for one head in multiply-accumulates, the unit of
-/// [`ApproxAttentionOps`]: `2·n²·d` MACs (`n²·d` for the scores, `n²·d`
-/// for the weighted sum) plus `n²` exps.
-#[must_use]
-pub fn exact_attention_ops(n: usize, d: usize) -> u64 {
-    let n = wide(n);
-    let d = wide(d);
-    saturating_u64(2 * n * n * d + n * n)
 }
 
 /// Dense rectangular attention FLOPs for `n_q` queries over `n` keys of
 /// dimension `d` with values of width `d_v`: scores `2·n_q·n·d`, softmax
-/// `n_q·n`, weighted sum `2·n_q·n·d_v`. A multiply-accumulate counts two,
-/// so the square case is twice [`exact_attention_ops`] less the `n²` exps.
+/// `n_q·n`, weighted sum `2·n_q·n·d_v`.
 #[must_use]
 pub fn rect_attention_ops(n_q: usize, n: usize, d: usize, d_v: usize) -> u64 {
     let (nq, n, d, dv) = (wide(n_q), wide(n), wide(d), wide(d_v));
@@ -275,11 +262,11 @@ impl PooledAttentionOps {
 /// # Examples
 ///
 /// ```
-/// use elsa_attention::flops::{exact_attention_ops, FlashAttentionOps};
+/// use elsa_attention::flops::{rect_attention_ops, FlashAttentionOps};
 ///
 /// let ops = FlashAttentionOps::count(512, 512, 64, 64, 64);
 /// // Compute matches the exact kernel to leading order...
-/// assert!(ops.total_flops() >= exact_attention_ops(512, 64));
+/// assert!(ops.total_flops() > rect_attention_ops(512, 512, 64, 64));
 /// // ...and renormalization is charged on top, never hidden.
 /// assert!(ops.renorm_flops > 0);
 /// // Workspace is O(n·d)-class, not the naive O(n²) score matrix.
@@ -424,7 +411,7 @@ mod tests {
     fn approx_ops_beat_exact_when_candidates_few() {
         let n = 512;
         let d = 64;
-        let exact = exact_attention_ops(n, d);
+        let exact = rect_attention_ops(n, n, d, d);
         let approx = ApproxAttentionOps::count(n, d, 0.2 * n as f64);
         assert!(
             approx.total() < exact / 2,
@@ -435,15 +422,11 @@ mod tests {
 
     #[test]
     fn approx_preprocessing_matches_paper_formula() {
-        // 3 n d^{4/3} + n d multiplications (§III-D).
+        // 3 n d^{4/3} + n d multiplications (§III-D), two FLOPs each.
         let ops = ApproxAttentionOps::count(512, 64, 100.0);
-        assert_eq!(ops.preprocessing_macs, 512 * (3 * 256) + 512 * 64);
-        assert_eq!(ops.query_hash_macs, 512 * 768);
-    }
-
-    #[test]
-    fn exact_ops_formula() {
-        assert_eq!(exact_attention_ops(128, 64), 2 * 128 * 128 * 64 + 128 * 128);
+        assert_eq!(ops.preprocessing_flops, 2 * (512 * (3 * 256) + 512 * 64));
+        assert_eq!(ops.query_hash_flops, 2 * 512 * 768);
+        assert_eq!(ops.selected_attention_flops, 4 * 100 * 512 * 64);
     }
 
     #[test]
@@ -452,8 +435,8 @@ mod tests {
             rect_attention_ops(16, 8192, 64, 64),
             2 * 16 * 8192 * 64 + 16 * 8192 + 2 * 16 * 8192 * 64
         );
-        // A multiply-accumulate is two FLOPs here, one op in the MAC count.
-        assert_eq!(rect_attention_ops(128, 128, 64, 64), 2 * exact_attention_ops(128, 64) - 128 * 128);
+        // Square case: 4·n²·d for the two products plus n² exps.
+        assert_eq!(rect_attention_ops(128, 128, 64, 64), 4 * 128 * 128 * 64 + 128 * 128);
         // Pooling charges that account over the pooled rows.
         assert_eq!(
             PooledAttentionOps::count(16, 8192, 64, 32, 256).attention_flops,
@@ -467,7 +450,7 @@ mod tests {
         // Leading term is 4·n_q·m·d ≈ 1.7e13 — far from u64 overflow, and
         // far below the exact kernel's 5.5e11-per-row quadratic blowup.
         assert!(ops.total() < u64::MAX / 1024);
-        assert!(ops.total() < exact_attention_ops(65536, 64));
+        assert!(ops.total() < rect_attention_ops(65536, 65536, 64, 64));
         assert_eq!(ops.pooled, 1024);
     }
 
@@ -499,7 +482,7 @@ mod tests {
         for (n, d, tile) in [(128, 64, 8), (512, 64, 64), (200, 64, 64), (33, 16, 8)] {
             let flash = FlashAttentionOps::count(n, n, d, d, tile);
             assert!(
-                flash.total_flops() > exact_attention_ops(n, d),
+                flash.total_flops() > rect_attention_ops(n, n, d, d),
                 "n={n} tile={tile}"
             );
         }
@@ -587,27 +570,28 @@ mod tests {
         let few = ApproxAttentionOps::count_queries(16, 65536, 64, 512.0);
         let full = ApproxAttentionOps::count_queries(65536, 65536, 64, 512.0);
         // Key preprocessing is shared; everything query-bound shrinks.
-        assert_eq!(few.preprocessing_macs, full.preprocessing_macs);
+        assert_eq!(few.preprocessing_flops, full.preprocessing_flops);
         assert_eq!(few.similarity_ops, 2 * 16 * 65536);
-        assert!(few.query_hash_macs < full.query_hash_macs);
-        assert!(few.selected_attention_macs < full.selected_attention_macs);
+        assert!(few.query_hash_flops < full.query_hash_flops);
+        assert!(few.selected_attention_flops < full.selected_attention_flops);
     }
 
     #[test]
     fn counts_hold_exact_values_at_64k() {
         // Pin the 64k arithmetic: regressions here mean a cost model
         // overflowed or changed shape at the long-context extreme.
-        // 2·n²·d + n² at n = 65536, d = 64 is n²·129.
-        assert_eq!(exact_attention_ops(65536, 64), 65536 * 65536 * 129);
+        // 4·n²·d + n² at n = 65536, d = 64 is n²·257.
+        let exact = rect_attention_ops(65536, 65536, 64, 64);
+        assert_eq!(exact, 65536 * 65536 * 257);
         let ops = ApproxAttentionOps::count(65536, 64, 1024.0);
-        // hash = 3·round(64^(4/3)) = 3·256 = 768 per vector.
-        assert_eq!(ops.preprocessing_macs, 65536 * (768 + 64));
+        // hash = 3·round(64^(4/3)) = 3·256 = 768 MACs per vector.
+        assert_eq!(ops.preprocessing_flops, 2 * 65536 * (768 + 64));
         assert_eq!(ops.similarity_ops, 2u64 * 65536 * 65536);
-        assert_eq!(ops.selected_attention_macs, 2 * 1024 * 65536 * 64);
-        assert!(ops.total() < exact_attention_ops(65536, 64));
+        assert_eq!(ops.selected_attention_flops, 4 * 1024 * 65536 * 64);
+        assert!(ops.total() < exact);
         // The flash count's worst case also stays far inside u64.
         let flash = FlashAttentionOps::count(65536, 65536, 64, 64, 64);
-        assert!(flash.total_flops() > exact_attention_ops(65536, 64));
+        assert!(flash.total_flops() > exact);
         assert!(flash.total_flops() < u64::MAX / 1_000_000);
         assert!(naive_attention_bytes(65536, 65536, 64, 64) < u64::MAX / 1_000_000);
     }

@@ -10,14 +10,13 @@
 //! Run: `cargo run --release -p elsa-bench --bin cmp_a3`
 
 use elsa_baselines::A3Model;
-use elsa_bench::harness::{compare_a3, evaluate_workload_perf, HarnessOptions};
+use elsa_bench::harness::{compare_a3, evaluate_workload_perf};
 use elsa_bench::table::{fmt, Table};
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
 fn main() {
-    let opts = HarnessOptions::default();
     let workload = Workload { model: ModelKind::BertLarge, dataset: DatasetKind::SquadV11 };
-    let perf = evaluate_workload_perf(&workload, &opts);
+    let perf = evaluate_workload_perf(&workload);
     let cmp = compare_a3(&perf);
     println!("§V-E — ELSA vs A3 on {}\n", workload.name());
     let mut table = Table::new(&["metric", "A3", "ELSA-conservative", "ELSA-moderate"]);

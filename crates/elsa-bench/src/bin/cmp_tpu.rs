@@ -8,13 +8,12 @@
 //! Run: `cargo run --release -p elsa-bench --bin cmp_tpu`
 
 use elsa_baselines::{AttentionDevice, GpuModel, TpuModel};
-use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint};
 use elsa_bench::table::{fmt, Table};
 use elsa_sim::AcceleratorConfig;
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
 fn main() {
-    let opts = HarnessOptions::default();
     let tpu = TpuModel::v2();
     let gpu = GpuModel::v100();
     let elsa_peak = AcceleratorConfig::paper().aggregate_peak_ops_per_second();
@@ -27,7 +26,7 @@ fn main() {
     ]);
     for dataset in [DatasetKind::SquadV11, DatasetKind::SquadV20, DatasetKind::Race] {
         let workload = Workload { model: ModelKind::AlbertLarge, dataset };
-        let perf = evaluate_workload_perf(&workload, &opts);
+        let perf = evaluate_workload_perf(&workload);
         let padded = perf.padded_len;
         // Peak-normalized throughput: invocations/s divided by peak FLOPS.
         let tpu_norm = 1.0 / (tpu.attention_latency_s(padded, padded, 64) * tpu.peak_flops());

@@ -8,7 +8,7 @@
 //! Run: `cargo run --release -p elsa-bench --bin end_to_end_speedup`
 
 use elsa_baselines::GpuModel;
-use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint};
 use elsa_bench::table::{fmt, Table};
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
@@ -35,7 +35,6 @@ fn speedup(
 }
 
 fn main() {
-    let opts = HarnessOptions::default();
     let gpu = GpuModel::v100();
     println!("§V-C — end-to-end model speedup with ELSA-conservative attention\n");
     let mut table = Table::new(&["model", "speedup @ 1x len", "speedup @ 4x len"]);
@@ -47,7 +46,7 @@ fn main() {
         (ModelKind::Bert4Rec, DatasetKind::MovieLens1M),
     ];
     for (model, dataset) in pairs {
-        let perf = evaluate_workload_perf(&Workload { model, dataset }, &opts);
+        let perf = evaluate_workload_perf(&Workload { model, dataset });
         let lat = perf.point(ElsaPoint::Conservative).latency_s;
         table.row(&[
             model.name().to_string(),

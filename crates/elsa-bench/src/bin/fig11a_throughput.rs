@@ -4,12 +4,11 @@
 //!
 //! Run: `cargo run --release -p elsa-bench --bin fig11a_throughput`
 
-use elsa_bench::harness::{evaluate_all, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_all, ElsaPoint};
 use elsa_bench::table::{fmt_factor, geomean, Table};
 
 fn main() {
-    let opts = HarnessOptions::default();
-    let results = evaluate_all(&opts);
+    let results = evaluate_all();
     println!("Fig. 11(a) — normalized self-attention throughput (GPU = 1)\n");
     let mut table = Table::new(&[
         "workload",

@@ -4,12 +4,11 @@
 //!
 //! Run: `cargo run --release -p elsa-bench --bin fig11b_latency`
 
-use elsa_bench::harness::{evaluate_all, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_all, ElsaPoint};
 use elsa_bench::table::{fmt, geomean, Table};
 
 fn main() {
-    let opts = HarnessOptions::default();
-    let results = evaluate_all(&opts);
+    let results = evaluate_all();
     println!("Fig. 11(b) — normalized self-attention latency (ideal accelerator = 1)\n");
     let mut table = Table::new(&[
         "workload",

@@ -7,12 +7,11 @@
 //!
 //! Run: `cargo run --release -p elsa-bench --bin fig13a_energy_efficiency`
 
-use elsa_bench::harness::{evaluate_all, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_all, ElsaPoint};
 use elsa_bench::table::{fmt_factor, geomean, Table};
 
 fn main() {
-    let opts = HarnessOptions::default();
-    let results = evaluate_all(&opts);
+    let results = evaluate_all();
     println!("Fig. 13(a) — normalized energy efficiency (perf/W, GPU = 1)\n");
     let mut table =
         Table::new(&["workload", "ELSA-base", "conservative", "moderate", "aggressive"]);

@@ -4,14 +4,13 @@
 //!
 //! Run: `cargo run --release -p elsa-bench --bin fig13b_energy_breakdown`
 
-use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint, HarnessOptions};
+use elsa_bench::harness::{evaluate_workload_perf, ElsaPoint};
 use elsa_bench::table::{fmt, Table};
 use elsa_workloads::{DatasetKind, ModelKind, Workload};
 
 fn main() {
-    let opts = HarnessOptions::default();
     let workload = Workload { model: ModelKind::BertLarge, dataset: DatasetKind::SquadV11 };
-    let perf = evaluate_workload_perf(&workload, &opts);
+    let perf = evaluate_workload_perf(&workload);
     println!(
         "Fig. 13(b) — energy breakdown per invocation, {} (µJ)\n",
         workload.name()

@@ -5,7 +5,7 @@
 //!
 //! Run: `cargo run --release -p elsa-bench --bin quantization_impact`
 
-use elsa_bench::harness::{generate_split, HarnessOptions};
+use elsa_bench::harness::{generate_split, SEED};
 use elsa_bench::table::{fmt, Table};
 use elsa_core::attention::{ElsaAttention, ElsaParams};
 use elsa_linalg::SeededRng;
@@ -14,7 +14,6 @@ use elsa_workloads::tasks::ClassificationProbe;
 use elsa_workloads::Workload;
 
 fn main() {
-    let opts = HarnessOptions::default();
     println!("§IV-E — metric impact of the quantized datapath (vs FP32 approximation)\n");
     let mut table = Table::new(&[
         "workload",
@@ -24,8 +23,8 @@ fn main() {
     ]);
     let mut worst: f64 = 0.0;
     for workload in Workload::all() {
-        let (train, test) = generate_split(&workload, &opts);
-        let mut rng = SeededRng::new(opts.seed ^ 0xE15A);
+        let (train, test) = generate_split(&workload);
+        let mut rng = SeededRng::new(SEED ^ 0xE15A);
         let params = ElsaParams::for_dims(64, 64, &mut rng);
         let operator = ElsaAttention::learn(params, &train, 1.0);
         let quant = QuantizedElsaAttention::from_reference(&operator);

@@ -123,44 +123,31 @@ impl WorkloadPerf {
     }
 }
 
-/// Batch sizes for the evaluation driver (kept small enough that every
-/// figure binary finishes in seconds, large enough to be stable).
-#[derive(Debug, Clone, Copy)]
-pub struct HarnessOptions {
-    /// Training invocations for threshold learning.
-    pub train_batches: usize,
-    /// Test invocations for accuracy + performance measurement.
-    pub test_batches: usize,
-    /// Base RNG seed.
-    pub seed: u64,
-}
+/// Training invocations per workload for threshold learning (kept small
+/// enough that every figure binary finishes in seconds, large enough to be
+/// stable).
+const TRAIN_BATCHES: usize = 2;
 
-impl Default for HarnessOptions {
-    fn default() -> Self {
-        Self { train_batches: 2, test_batches: 4, seed: 2021 }
-    }
-}
+/// Test invocations per workload for accuracy and performance measurement.
+const TEST_BATCHES: usize = 4;
+
+/// Base RNG seed of every harness evaluation.
+pub const SEED: u64 = 2021;
 
 /// Sweeps the approximation degree over [`P_GRID`] for one workload,
 /// returning one accuracy evaluation per grid point (Fig. 10's data).
 #[must_use]
-pub fn sweep_p(workload: &Workload, opts: &HarnessOptions) -> Vec<AccuracyEvaluation> {
-    let (train, test) = generate_split(workload, opts);
-    P_GRID
-        .iter()
-        .map(|&p| evaluate_workload(workload, p, &train, &test, opts.seed ^ 0xACC))
-        .collect()
+pub fn sweep_p(workload: &Workload) -> Vec<AccuracyEvaluation> {
+    let (train, test) = generate_split(workload);
+    P_GRID.iter().map(|&p| evaluate_workload(workload, p, &train, &test, SEED ^ 0xACC)).collect()
 }
 
 /// Generates the train/test invocation batches for a workload.
 #[must_use]
-pub fn generate_split(
-    workload: &Workload,
-    opts: &HarnessOptions,
-) -> (Vec<AttentionInputs>, Vec<AttentionInputs>) {
-    let mut rng = SeededRng::new(opts.seed ^ hash_name(&workload.name()));
-    let train = workload.generate_batch(opts.train_batches, &mut rng);
-    let test = workload.generate_batch(opts.test_batches, &mut rng);
+pub fn generate_split(workload: &Workload) -> (Vec<AttentionInputs>, Vec<AttentionInputs>) {
+    let mut rng = SeededRng::new(SEED ^ hash_name(&workload.name()));
+    let train = workload.generate_batch(TRAIN_BATCHES, &mut rng);
+    let test = workload.generate_batch(TEST_BATCHES, &mut rng);
     (train, test)
 }
 
@@ -171,8 +158,8 @@ fn hash_name(name: &str) -> u64 {
 /// Runs the full device comparison for one workload: GPU / ideal / TPU
 /// latencies plus cycle-level ELSA results at all four operating points.
 #[must_use]
-pub fn evaluate_workload_perf(workload: &Workload, opts: &HarnessOptions) -> WorkloadPerf {
-    let (train, test) = generate_split(workload, opts);
+pub fn evaluate_workload_perf(workload: &Workload) -> WorkloadPerf {
+    let (train, test) = generate_split(workload);
     let padded = workload.padded_length();
     let mean_real_len =
         test.iter().map(|i| i.num_keys() as f64).sum::<f64>() / test.len() as f64;
@@ -180,7 +167,7 @@ pub fn evaluate_workload_perf(workload: &Workload, opts: &HarnessOptions) -> Wor
     // Sweep once; pick operating points from the same evaluations.
     let sweep: Vec<AccuracyEvaluation> = P_GRID
         .iter()
-        .map(|&p| evaluate_workload(workload, p, &train, &test, opts.seed ^ 0xACC))
+        .map(|&p| evaluate_workload(workload, p, &train, &test, SEED ^ 0xACC))
         .collect();
 
     let config = AcceleratorConfig { n_max: padded.div_ceil(4) * 4, ..AcceleratorConfig::paper() };
@@ -195,7 +182,7 @@ pub fn evaluate_workload_perf(workload: &Workload, opts: &HarnessOptions) -> Wor
                 (chosen.p, chosen.loss_percent())
             }
         };
-        let mut rng = SeededRng::new(opts.seed ^ 0xE15A);
+        let mut rng = SeededRng::new(SEED ^ 0xE15A);
         let params = ElsaParams::for_dims(64, 64, &mut rng);
         let operator = if point == ElsaPoint::Base {
             ElsaAttention::exact_fallback(params)
@@ -265,8 +252,8 @@ pub fn evaluate_workload_perf(workload: &Workload, opts: &HarnessOptions) -> Wor
 
 /// Evaluates every workload of the paper (12 combinations).
 #[must_use]
-pub fn evaluate_all(opts: &HarnessOptions) -> Vec<WorkloadPerf> {
-    Workload::all().iter().map(|w| evaluate_workload_perf(w, opts)).collect()
+pub fn evaluate_all() -> Vec<WorkloadPerf> {
+    Workload::all().iter().map(evaluate_workload_perf).collect()
 }
 
 /// The A³ comparison data for §V-E (E8).
@@ -300,18 +287,21 @@ mod tests {
     use super::*;
     use elsa_workloads::{DatasetKind, ModelKind};
 
-    fn small_opts() -> HarnessOptions {
-        HarnessOptions { train_batches: 1, test_batches: 2, seed: 7 }
-    }
-
     /// A fast workload for harness tests (n = 200 recommender).
     fn fast_workload() -> Workload {
         Workload { model: ModelKind::SasRec, dataset: DatasetKind::MovieLens1M }
     }
 
+    /// One evaluation of the fast workload, shared by the tests that only
+    /// read it (each evaluation takes seconds in a debug build).
+    fn fast_perf() -> &'static WorkloadPerf {
+        static PERF: std::sync::OnceLock<WorkloadPerf> = std::sync::OnceLock::new();
+        PERF.get_or_init(|| evaluate_workload_perf(&fast_workload()))
+    }
+
     #[test]
     fn perf_points_ordered_by_aggressiveness() {
-        let perf = evaluate_workload_perf(&fast_workload(), &small_opts());
+        let perf = fast_perf();
         let base = perf.point(ElsaPoint::Base);
         let cons = perf.point(ElsaPoint::Conservative);
         let aggr = perf.point(ElsaPoint::Aggressive);
@@ -338,7 +328,7 @@ mod tests {
 
     #[test]
     fn elsa_base_beats_gpu() {
-        let perf = evaluate_workload_perf(&fast_workload(), &small_opts());
+        let perf = fast_perf();
         let base = perf.point(ElsaPoint::Base);
         assert!(
             base.throughput_per_s > perf.gpu_throughput_per_s(),
@@ -350,7 +340,7 @@ mod tests {
 
     #[test]
     fn sweep_has_one_eval_per_grid_point() {
-        let sweep = sweep_p(&fast_workload(), &small_opts());
+        let sweep = sweep_p(&fast_workload());
         assert_eq!(sweep.len(), P_GRID.len());
         for (e, &p) in sweep.iter().zip(&P_GRID) {
             assert_eq!(e.p, p);
@@ -359,17 +349,16 @@ mod tests {
 
     #[test]
     fn a3_comparison_shape() {
-        let perf = evaluate_workload_perf(&fast_workload(), &small_opts());
-        let cmp = compare_a3(&perf);
+        let cmp = compare_a3(fast_perf());
         assert!((cmp.a3_speedup - 1.85).abs() < 0.05);
         assert!(cmp.elsa_conservative_speedup >= 1.0);
         assert!(cmp.elsa_moderate_speedup + 1e-9 >= cmp.elsa_conservative_speedup);
     }
 
     #[test]
-    fn deterministic_given_options() {
-        let a = evaluate_workload_perf(&fast_workload(), &small_opts());
-        let b = evaluate_workload_perf(&fast_workload(), &small_opts());
+    fn evaluation_is_deterministic() {
+        let a = fast_perf();
+        let b = evaluate_workload_perf(&fast_workload());
         assert_eq!(a.gpu_latency_s, b.gpu_latency_s);
         assert_eq!(a.point(ElsaPoint::Moderate).latency_s, b.point(ElsaPoint::Moderate).latency_s);
     }

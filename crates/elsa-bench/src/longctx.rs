@@ -10,11 +10,10 @@
 //! Fidelity is measured against the bitwise-exact attention output on the
 //! same inputs, two ways: NDCG@10 over the value rows (the recommender-style
 //! ranking proxy of `elsa_workloads::tasks`) and relative Frobenius error.
-//! Compute is the analytic operation count of each method at the measured
+//! Compute is the analytic FLOP count of each method at the measured
 //! operating point — `ApproxAttentionOps::count_queries` with the *observed*
 //! candidate load for ELSA, `PooledAttentionOps::count` for the rival — so
-//! the frontier is accuracy versus operation counts, not wall time (see
-//! [`RivalPoint::ops_vs_exact`] for their units).
+//! the frontier is accuracy versus FLOPs, not wall time.
 
 use elsa_attention::exact;
 use elsa_attention::flops::{rect_attention_ops, ApproxAttentionOps};
@@ -50,9 +49,7 @@ pub struct RivalPoint {
     pub frobenius_error: f64,
     /// Analytic operation count at the measured operating point.
     pub total_ops: u64,
-    /// `total_ops` over the exact rectangular kernel's FLOPs. ELSA's
-    /// `total_ops` counts one op per multiply-accumulate, not two, so its
-    /// fraction reads about half its share of exact FLOPs.
+    /// `total_ops` over the exact rectangular kernel's FLOPs.
     pub ops_vs_exact: f64,
 }
 

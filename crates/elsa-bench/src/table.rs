@@ -35,12 +35,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells);
-    }
-
     /// Renders with aligned columns and a separator under the header.
     #[must_use]
     pub fn render(&self) -> String {
@@ -80,29 +74,6 @@ impl Table {
     /// Prints the rendered table to stdout.
     pub fn print(&self) {
         print!("{}", self.render());
-    }
-
-    /// Renders as CSV (fields containing commas or quotes are quoted).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| {
-            if cell.contains(',') || cell.contains('"') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let push_row = |cells: &[String], out: &mut String| {
-            let line: Vec<String> = cells.iter().map(|c| escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        push_row(&self.headers, &mut out);
-        for row in &self.rows {
-            push_row(row, &mut out);
-        }
-        out
     }
 }
 
@@ -167,19 +138,6 @@ mod tests {
     fn rejects_bad_row() {
         let mut t = Table::new(&["a"]);
         t.row(&["x".into(), "y".into()]);
-    }
-
-    #[test]
-    fn csv_round_trip_basics() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(&["plain".into(), "1".into()]);
-        t.row(&["with, comma".into(), "quote \" inside".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert!(lines[2].starts_with("\"with, comma\""));
-        assert!(lines[2].contains("\"\"")); // doubled quote
     }
 
     #[test]

@@ -43,6 +43,12 @@ use crate::autoscale::{AutoscaleConfig, ScaleEvent};
 use crate::report::{ClusterRecord, ClusterReport, NodeReport, RouterStats};
 use crate::router::{HedgeConfig, RoutePolicy, Router};
 
+/// Seed of the router's ring and sampling streams.
+const ROUTER_SEED: u64 = 0xC105_7E12;
+
+/// Virtual ring positions per node (consistent hashing).
+const VNODES: usize = 16;
+
 /// Full configuration of a serving fleet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
@@ -58,10 +64,6 @@ pub struct ClusterConfig {
     pub cache: Option<CacheConfig>,
     /// Front-end routing policy.
     pub policy: RoutePolicy,
-    /// Seed of the router's ring and sampling streams.
-    pub router_seed: u64,
-    /// Virtual ring positions per node (consistent hashing).
-    pub vnodes: usize,
     /// Unit-level (accelerator) fault plan; forked into an independent
     /// stream per node, so node 3's stragglers are uncorrelated with node
     /// 7's at the same seed.
@@ -96,8 +98,6 @@ impl ClusterConfig {
             serve,
             cache: None,
             policy: RoutePolicy::ConsistentHash,
-            router_seed: 0xC105_7E12,
-            vnodes: 16,
             unit_faults: FaultPlan::none(),
             node_faults: NodeFaultPlan::none(),
             node_quarantine_after: 2,
@@ -249,7 +249,7 @@ impl Cluster {
 
         let fleet = Fleet {
             cfg: &self.config,
-            router: Router::new(self.config.policy, self.config.router_seed, n, self.config.vnodes),
+            router: Router::new(self.config.policy, ROUTER_SEED, n, VNODES),
             engines,
             prepared: &prepared,
             turns: &trace.requests,

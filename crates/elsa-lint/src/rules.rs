@@ -736,9 +736,11 @@ fn apply_waivers(findings: &mut [Finding], waivers: &mut [Waiver]) {
     }
 }
 
-/// Cross-file variant of [`apply_waivers`] for model-rule findings, which
-/// are produced workspace-wide rather than during a single file's scan: a
-/// waiver only covers a finding in its own file.
+/// Marks model-rule findings covered by a waiver (same file, same rule,
+/// same line or the line below the waiver) and flags those waivers as used.
+/// Model-rule findings are produced workspace-wide rather than during a
+/// single file's scan, so a waiver only covers a finding in its own file.
+/// W0 findings are never waivable.
 pub fn apply_waivers_by_file(findings: &mut [Finding], waivers: &mut [Waiver]) {
     for finding in findings.iter_mut() {
         if finding.rule == RuleId::WaiverSyntax {

@@ -1,10 +1,10 @@
 //! # elsa-testkit
 //!
 //! Zero-dependency test substrate for the ELSA reproduction, replacing the
-//! external `rand`, `proptest`, and `criterion` crates so the workspace
-//! builds and tests fully offline.
+//! external `rand` and `proptest` crates so the workspace builds and tests
+//! fully offline.
 //!
-//! Three modules:
+//! Two modules:
 //!
 //! * [`rng`] — seeded, splittable pseudo-randomness: [`SplitMix64`] for seed
 //!   expansion and [`TestRng`] (xoshiro256++) with uniform, bounded-integer,
@@ -14,14 +14,10 @@
 //!   generators (ranges, vectors, subsets, matrices, tuples), seeded case
 //!   generation, greedy shrinking, and failure reports that include the
 //!   reproducing seed. Entry points: the [`props!`] macro or [`prop::check`].
-//! * [`bench`] — a micro-benchmark harness for `harness = false` bench
-//!   targets: warmup, timed samples, min/median/p95 reporting, compatible
-//!   with `cargo bench` (measures) and `cargo test --benches` (smoke-runs).
 //!
 //! The crate depends only on `std`. Keeping it that way is a workspace
 //! policy enforced by `scripts/verify.sh`.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 
